@@ -26,6 +26,7 @@ import threading
 import time
 from collections import OrderedDict
 from collections.abc import Sequence
+from operator import attrgetter
 
 from repro.autocomplete.candidates import Candidate
 from repro.autocomplete.engine import AutocompleteEngine
@@ -41,6 +42,7 @@ from repro.resilience.faults import fault_point
 from repro.rewrite.engine import QueryRewriter
 from repro.rewrite.rules import default_rules
 from repro.engine.results import SearchResponse, SearchResult
+from repro.engine.topk import rank_top_k
 from repro.engine.translate import to_xpath, to_xquery
 from repro.twig.algorithms.common import AlgorithmStats
 from repro.twig.match import Match, sort_matches
@@ -49,6 +51,9 @@ from repro.twig.pattern import Axis, QueryNode, TwigPattern
 from repro.twig.planner import Algorithm, compile_plan, execute_plan
 from repro.xmlio.builder import parse_file, parse_string
 from repro.xmlio.tree import Document, Element
+
+#: Document order of an element within one labeled document.
+_ORDER = attrgetter("order")
 
 
 class LotusXDatabase:
@@ -534,7 +539,7 @@ class LotusXDatabase:
                 degraded.append("deadline")
         response = SearchResponse(
             query=str(pattern),
-            results=results[:k],
+            results=results,
             total_matches=sum(len(matches) for _, matches in productive),
             used_rewrites=used_rewrites,
             rewrites_tried=rewrites_tried,
@@ -544,63 +549,20 @@ class LotusXDatabase:
         )
         return response
 
-    #: Matches scored during the post-trip grace period.  A tripped
-    #: request may still sit on thousands of salvaged matches; scoring
-    #: them all would dwarf the deadline itself, so ranking gets its own
-    #: small budget instead.
-    GRACE_RANK_STEPS = 1_000
-
     def _rank_productive(
         self, productive, k: int, deadline: Deadline | None = None
     ) -> list[SearchResult]:
-        """Score all matches of all productive (rewritten) patterns and
-        keep the best result per distinct output binding.
-
-        An already-tripped ``deadline`` is not re-checked here — ranking
-        the salvaged partials is the point of the grace period — but the
-        grace itself is bounded by :attr:`GRACE_RANK_STEPS`.  A live
-        deadline is checked per match; on expiry the results scored so
-        far are ranked and returned.
-        """
-        if deadline is None:
-            guard = None
-        elif deadline.tripped:
-            guard = Deadline(max_steps=self.GRACE_RANK_STEPS)
-        else:
-            guard = deadline
-        best: dict[tuple[int, ...], SearchResult] = {}
-        try:
-            for candidate, matches in productive:
-                candidate_pattern = candidate.pattern
-                for match in matches:
-                    if guard is not None:
-                        guard.check("search.rank")
-                    score = self.scorer.score_match(
-                        candidate_pattern, match, self.term_index, candidate.penalty
-                    )
-                    outputs = tuple(match.output_elements(candidate_pattern))
-                    key = tuple(element.order for element in outputs)
-                    current = best.get(key)
-                    if current is None or score.combined > current.score.combined:
-                        best[key] = SearchResult(
-                            outputs=outputs,
-                            score=score,
-                            match=match,
-                            source_query=str(candidate_pattern),
-                            rewrite_steps=candidate.steps,
-                            terms=candidate_pattern.all_terms(),
-                        )
-        except DeadlineExceeded:
-            # Keep whatever was scored before the budget ran out.
-            pass
-        ranked = sorted(
-            best.values(),
-            key=lambda result: (
-                -result.score.combined,
-                tuple(element.order for element in result.outputs),
-            ),
+        """The ``k`` best results over all productive (rewritten)
+        patterns' matches — see :func:`repro.engine.topk.rank_top_k`."""
+        term_index = self.term_index
+        return rank_top_k(
+            productive,
+            k,
+            deadline,
+            self.scorer,
+            lambda match: term_index,
+            _ORDER,
         )
-        return ranked
 
     def profile(self, query: str | TwigPattern, repeats: int = 3) -> dict:
         """EXPLAIN ANALYZE: run ``query`` under every applicable algorithm
@@ -726,9 +688,9 @@ class LotusXDatabase:
     def _as_pattern(self, query: str | TwigPattern) -> TwigPattern:
         """Parse ``query`` (memoized by text) or pass a pattern through.
 
-        The cache stores a private copy and hands out fresh copies:
-        callers are free to mutate what they get back, as with
-        ``parse_twig``.
+        A memoized pattern is shared between requests: treat what this
+        returns as read-only (every caller here only walks it; what
+        outlives the call — a cached plan — takes its own copy).
         """
         if isinstance(query, TwigPattern):
             return query
@@ -737,11 +699,11 @@ class LotusXDatabase:
             if cached is not None:
                 self._parse_cache.move_to_end(query)
                 self.counters["parse_cache_hits"] += 1
-                return cached.copy()
+                return cached
             self.counters["parse_cache_misses"] += 1
         pattern = parse_twig(query)
         with self._counter_lock:
-            self._parse_cache[query] = pattern.copy()
+            self._parse_cache[query] = pattern
             if len(self._parse_cache) > self.PARSE_CACHE_SIZE:
                 self._parse_cache.popitem(last=False)
         return pattern

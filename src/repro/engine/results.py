@@ -13,30 +13,35 @@ from repro.twig.pattern import TwigPattern
 SNIPPET_LENGTH = 160
 
 
-def element_xpath(element: LabeledElement) -> str:
+def element_xpath(
+    element: LabeledElement, ordinal_offsets: dict[str, int] | None = None
+) -> str:
     """Absolute positional XPath of ``element``: ``/dblp[1]/article[2]``.
 
     Positions are 1-based ordinals among *same-tag* siblings, matching
     XPath semantics.
+
+    ``ordinal_offsets`` corrects the depth-1 step when ``element`` lives
+    in a shard or segment holding only a slice of the root's children:
+    per tag, the number of same-tag units in earlier slices.  Deeper
+    ordinals are counted inside one slice-complete subtree and are exact.
     """
     steps: list[str] = []
     current: LabeledElement | None = element
     while current is not None:
         parent = current.parent
+        tag = current.tag
         if parent is None:
-            steps.append(f"/{current.tag}[1]")
-        elif current.tag.startswith("@"):
+            steps.append(f"/{tag}[1]")
+        elif tag.startswith("@"):
             # Synthetic attribute node (repro.xmlio.transform): XPath
             # attribute steps carry no positional predicate.
-            steps.append(f"/{current.tag}")
+            steps.append(f"/{tag}")
         else:
-            ordinal = 0
-            for sibling in parent.element.child_elements():
-                if sibling.tag == current.tag:
-                    ordinal += 1
-                if sibling is current.element:
-                    break
-            steps.append(f"/{current.tag}[{ordinal}]")
+            ordinal = parent.child_ordinal(current)
+            if ordinal_offsets and parent.parent is None:
+                ordinal += ordinal_offsets.get(tag, 0)
+            steps.append(f"/{tag}[{ordinal}]")
         current = parent
     return "".join(reversed(steps))
 
@@ -147,7 +152,7 @@ class SearchResult:
 
     @property
     def xpath(self) -> str:
-        return element_xpath(self.primary)
+        return element_xpath(self.primary, self.match.ordinal_offsets)
 
     def fragment(self) -> str:
         """The primary output's subtree as an XML fragment.

@@ -122,6 +122,20 @@ class TermIndex:
         plist = self._postings.get(term.lower(), _EMPTY)
         return [Posting(order, tf) for order, tf in zip(plist.orders, plist.tfs)]
 
+    def posting_list(self, term: str) -> _PostingList:
+        """The parallel-array postings of ``term`` (shared — callers must
+        not mutate); with :attr:`subtree_ends`, what a per-match scoring
+        loop needs to probe subtree term frequencies without re-resolving
+        the term."""
+        return self._postings.get(term.lower(), _EMPTY)
+
+    @property
+    def subtree_ends(self):
+        """Per element order, the order just past its subtree: an
+        element's subtree is the half-open range
+        ``order .. subtree_ends[order]``."""
+        return self._subtree_end
+
     def document_frequency(self, term: str) -> int:
         """Number of elements whose direct text contains ``term``."""
         return len(self._postings.get(term.lower(), _EMPTY))

@@ -36,7 +36,16 @@ class LabeledElement:
     doubles as a dense id for side tables.
     """
 
-    __slots__ = ("element", "order", "region", "dewey", "xdewey", "path_node", "parent")
+    __slots__ = (
+        "element",
+        "order",
+        "region",
+        "dewey",
+        "xdewey",
+        "path_node",
+        "parent",
+        "_child_ordinals",
+    )
 
     def __init__(
         self,
@@ -55,10 +64,32 @@ class LabeledElement:
         self.xdewey = xdewey
         self.path_node = path_node
         self.parent = parent
+        #: id(child element) -> 1-based ordinal among same-tag siblings;
+        #: built on the first :meth:`child_ordinal` call.
+        self._child_ordinals: dict[int, int] | None = None
 
     @property
     def tag(self) -> str:
         return self.element.tag
+
+    def child_ordinal(self, child: LabeledElement) -> int:
+        """1-based position of ``child`` among this element's children
+        with the same tag (the XPath positional predicate).
+
+        The first call counts all children once; the table lives and
+        dies with this labeled tree, whose element children never change
+        after labeling.
+        """
+        ordinals = self._child_ordinals
+        if ordinals is None:
+            ordinals = {}
+            counts: dict[str, int] = {}
+            for sibling in self.element.child_elements():
+                count = counts.get(sibling.tag, 0) + 1
+                counts[sibling.tag] = count
+                ordinals[id(sibling)] = count
+            self._child_ordinals = ordinals
+        return ordinals[id(child.element)]
 
     @property
     def level(self) -> int:

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.index.term_index import TermIndex
-from repro.ranking.structural import structural_score
-from repro.ranking.tfidf import text_score
+from repro.ranking.plan import ScoringPlan
 from repro.twig.match import Match
 from repro.twig.pattern import TwigPattern
 
@@ -57,16 +56,19 @@ class LotusXScorer:
     def structure_only(cls) -> LotusXScorer:
         return cls(structure_weight=1.0, text_weight=0.0)
 
-    def score_match(
+    def score(
         self,
-        pattern: TwigPattern,
-        match: Match,
+        plan: ScoringPlan,
+        assignments,
         term_index: TermIndex,
         rewrite_penalty: float = 0.0,
-    ) -> MatchScore:
-        structural = structural_score(pattern, match)
-        textual = text_score(pattern, match, term_index)
-        if pattern.all_terms():
+    ) -> tuple[float, float, float]:
+        """``(combined, structural, textual)`` of one match's
+        ``assignments`` under a compiled ``plan`` — plain floats, for
+        loops that score many matches and keep few."""
+        structural = plan.structural(assignments)
+        textual = plan.textual(assignments, term_index)
+        if plan.terms:
             combined = (
                 self.structure_weight * structural + self.text_weight * textual
             )
@@ -74,7 +76,18 @@ class LotusXScorer:
             # No search terms: the textual signal is vacuous, rank on
             # structure alone at full strength.
             combined = structural
-        combined /= 1.0 + rewrite_penalty
+        return combined / (1.0 + rewrite_penalty), structural, textual
+
+    def score_match(
+        self,
+        pattern: TwigPattern,
+        match: Match,
+        term_index: TermIndex,
+        rewrite_penalty: float = 0.0,
+    ) -> MatchScore:
+        combined, structural, textual = self.score(
+            ScoringPlan(pattern), match.assignments, term_index, rewrite_penalty
+        )
         return MatchScore(structural, textual, rewrite_penalty, combined)
 
     def rank(
@@ -85,9 +98,14 @@ class LotusXScorer:
         rewrite_penalty: float = 0.0,
     ) -> list[tuple[Match, MatchScore]]:
         """Matches with scores, best first (ties broken by document order)."""
-        scored = [
-            (match, self.score_match(pattern, match, term_index, rewrite_penalty))
-            for match in matches
-        ]
+        plan = ScoringPlan(pattern)
+        scored = []
+        for match in matches:
+            combined, structural, textual = self.score(
+                plan, match.assignments, term_index, rewrite_penalty
+            )
+            scored.append(
+                (match, MatchScore(structural, textual, rewrite_penalty, combined))
+            )
         scored.sort(key=lambda pair: (-pair[1].combined, pair[0].order_key()))
         return scored

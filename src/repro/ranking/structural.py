@@ -1,94 +1,44 @@
-"""Structural scoring of twig matches.
+"""Structural scoring of single twig matches.
 
-Two signals, both position-derived:
-
-* **edge tightness** — an ancestor-descendant edge satisfied at distance 1
-  (an actual parent-child pair) is a tighter, more specific answer than
-  one bridged through five levels; tightness of an edge is ``1/distance``
-  and the pattern's tightness is the average over its edges.
-* **compactness** — among matches with equal tightness, the one whose
-  bound elements sit in a smaller subtree is the more focused answer;
-  compactness shrinks logarithmically with the match's element span.
-
-Both are in (0, 1]; the combined structural score is their weighted mix.
+The formulas live in :class:`repro.ranking.plan.ScoringPlan`, which
+derives the per-pattern constants once; these functions compile a plan
+for one match.  Score many matches of one pattern through a plan (or
+:meth:`repro.ranking.scorer.LotusXScorer.rank`) instead.
 """
 
 from __future__ import annotations
 
-import math
-
+from repro.ranking.plan import OPTIONAL_BONUS, TIGHTNESS_WEIGHT, ScoringPlan
 from repro.twig.match import Match
 from repro.twig.pattern import TwigPattern
 
-#: Mixing weight of tightness vs compactness inside the structural score.
-TIGHTNESS_WEIGHT = 0.7
+__all__ = [
+    "OPTIONAL_BONUS",
+    "TIGHTNESS_WEIGHT",
+    "compactness",
+    "edge_tightness",
+    "optional_coverage",
+    "structural_score",
+]
 
 
 def edge_tightness(pattern: TwigPattern, match: Match) -> float:
     """Average ``1/level-distance`` over the pattern's edges (1.0 for a
     single-node pattern)."""
-    distances: list[int] = []
-    for node in pattern.nodes():
-        if node.parent is None:
-            continue
-        parent_element = match.assignments.get(node.parent.node_id)
-        child_element = match.assignments.get(node.node_id)
-        if parent_element is None or child_element is None:
-            continue  # unbound optional branch
-        distances.append(child_element.level - parent_element.level)
-    if not distances:
-        return 1.0
-    return sum(1.0 / distance for distance in distances) / len(distances)
-
-
-#: Structural-score bonus for each bound optional branch (fraction).
-OPTIONAL_BONUS = 0.05
+    return ScoringPlan(pattern).edge_tightness(match.assignments)
 
 
 def compactness(pattern: TwigPattern, match: Match) -> float:
-    """``1 / (1 + log(span))`` where span is the region width of the match
-    relative to the pattern size (1.0 = the match is exactly as big as the
-    pattern requires).
-
-    Only *required* nodes contribute to the span: binding an optional
-    branch must never make a match look less compact than the same match
-    without it.
-    """
-    required_ids = {
-        node.node_id for node in pattern.required_skeleton().nodes()
-    }
-    elements = [
-        element
-        for node_id, element in match.assignments.items()
-        if node_id in required_ids
-    ] or list(match.assignments.values())
-    starts = [element.region.start for element in elements]
-    ends = [element.region.end for element in elements]
-    span_elements = (max(ends) - min(starts) + 1) // 2
-    excess = max(1.0, span_elements / max(1, len(required_ids)))
-    return 1.0 / (1.0 + math.log(excess))
+    """``1 / (1 + log(span))`` over the match's required elements."""
+    return ScoringPlan(pattern).compactness(match.assignments)
 
 
 def optional_coverage(pattern: TwigPattern, match: Match) -> float:
     """Fraction of the pattern's optional branches the match bound
     (1.0 when the pattern has none)."""
-    branches = pattern.optional_branches()
-    if not branches:
-        return 1.0
-    bound = sum(
-        1 for branch in branches if branch.node_id in match.assignments
-    )
-    return bound / len(branches)
+    return ScoringPlan(pattern).optional_coverage(match.assignments)
 
 
 def structural_score(pattern: TwigPattern, match: Match) -> float:
     """Combined structural score in (0, 1]."""
-    tightness = edge_tightness(pattern, match)
-    compact = compactness(pattern, match)
-    base = TIGHTNESS_WEIGHT * tightness + (1.0 - TIGHTNESS_WEIGHT) * compact
-    if pattern.has_optional():
-        # Matches that also provide the optional information rank a notch
-        # higher; the bonus shrinks the base so the score stays in (0, 1].
-        coverage = optional_coverage(pattern, match)
-        return base * (1.0 - OPTIONAL_BONUS) + OPTIONAL_BONUS * coverage
-    return base
+    return ScoringPlan(pattern).structural(match.assignments)

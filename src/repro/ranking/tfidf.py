@@ -1,36 +1,19 @@
-"""Textual scoring of twig matches (tf-idf over predicate terms).
+"""Textual scoring of single twig matches (tf-idf over predicate terms).
 
-Each predicate node contributes its terms; a term's contribution is its
-idf weight times a saturating term-frequency factor measured in the
-subtree of the element the predicate node matched.  The final text score
-is idf-normalized into [0, 1] so it composes cleanly with the structural
-score.
+The formula lives in :meth:`repro.ranking.plan.ScoringPlan.textual`.
 """
 
 from __future__ import annotations
 
 from repro.index.term_index import TermIndex
+from repro.ranking.plan import TF_SATURATION, ScoringPlan
 from repro.twig.match import Match
 from repro.twig.pattern import TwigPattern
 
-#: Term-frequency saturation constant (BM25-style: tf / (tf + K)).
-TF_SATURATION = 1.0
+__all__ = ["TF_SATURATION", "text_score"]
 
 
 def text_score(pattern: TwigPattern, match: Match, term_index: TermIndex) -> float:
     """Text relevance of ``match`` in [0, 1]; 0.0 if the pattern carries
     no search terms."""
-    weighted = 0.0
-    total_idf = 0.0
-    for node, predicate in pattern.predicates():
-        element = match.assignments.get(node.node_id)
-        if element is None:
-            continue  # unbound optional branch contributes nothing
-        for term in predicate.terms():
-            idf = term_index.idf(term)
-            tf = term_index.subtree_term_frequency(element, term)
-            total_idf += idf
-            weighted += idf * (tf / (tf + TF_SATURATION))
-    if total_idf == 0.0:
-        return 0.0
-    return weighted / total_idf
+    return ScoringPlan(pattern).textual(match.assignments, term_index)

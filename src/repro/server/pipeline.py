@@ -721,6 +721,8 @@ class RequestPipeline:
 
         Uses the raw match enumeration (no ranking, no snippets); the
         match cache makes the follow-up ranked pass reuse this work.
+        Matches of a sharded or segmented corpus carry their shard's
+        ordinal offsets, so the paths agree with the ranked pass.
         """
         from repro.engine.results import element_xpath
         from repro.twig.parse import TwigSyntaxError
@@ -738,7 +740,7 @@ class RequestPipeline:
         for match in matches[:k]:
             outputs = match.output_elements(pattern)
             if outputs:
-                first.append(element_xpath(outputs[0]))
+                first.append(element_xpath(outputs[0], match.ordinal_offsets))
         return {
             "partial": True,
             "total_matches": len(matches),

@@ -26,11 +26,13 @@ import threading
 import time
 from collections import OrderedDict
 from collections.abc import Sequence
+from operator import attrgetter
 
 from repro.autocomplete.candidates import Candidate
 from repro.autocomplete.engine import AutocompleteEngine
 from repro.engine.database import LotusXDatabase
-from repro.engine.results import SearchResponse
+from repro.engine.results import SearchResponse, SearchResult
+from repro.engine.topk import rank_top_k
 from repro.engine.translate import to_xpath, to_xquery
 from repro.index.statistics import CorpusStatistics
 from repro.keyword.search import KeywordResponse, _score
@@ -48,7 +50,6 @@ from repro.shard.merger import (
     GlobalTermView,
     RootTermView,
     ShardKeywordHit,
-    ShardSearchResult,
     ShardedCompletionIndex,
     matches_from_wire,
     merge_guides,
@@ -70,6 +71,9 @@ from repro.twig.pattern import Axis, QueryNode, TwigPattern
 from repro.twig.planner import Algorithm
 from repro.xmlio.builder import parse_file, parse_string
 from repro.xmlio.tree import Document, Element, Text
+
+#: Document order of an element across shards (regions are global).
+_GLOBAL_START = attrgetter("region.start")
 
 
 class _UnsafeRewrite(Exception):
@@ -438,6 +442,7 @@ class ShardedDatabase:
             matches_from_wire(
                 self.shards[outcome.shard_index],
                 outcome.shard_index,
+                self.specs[outcome.shard_index].child_ordinal_offsets,
                 outcome.payload["matches"],
             )
             for outcome in outcomes
@@ -635,7 +640,7 @@ class ShardedDatabase:
                     degraded.append(tag)
         return SearchResponse(
             query=str(pattern),
-            results=results[:k],
+            results=results,
             total_matches=sum(len(matches) for _, matches in productive),
             used_rewrites=used_rewrites,
             rewrites_tried=rewrites_tried,
@@ -646,58 +651,19 @@ class ShardedDatabase:
 
     def _rank_productive(
         self, productive, k: int, deadline: Deadline | None = None
-    ) -> list[ShardSearchResult]:
-        """The single-database ranking loop with global keys and scores.
-
-        Differences from ``LotusXDatabase._rank_productive``: output
-        identity and tie-breaking use ``region.start`` (global document
-        order) instead of the shard-local ``order``, matches are scored
-        against their shard's global-idf term view, and results carry
-        their shard's xpath ordinal offsets.
-        """
-        if deadline is None:
-            guard = None
-        elif deadline.tripped:
-            guard = Deadline(max_steps=LotusXDatabase.GRACE_RANK_STEPS)
-        else:
-            guard = deadline
-        best: dict[tuple[int, ...], ShardSearchResult] = {}
-        try:
-            for candidate, matches in productive:
-                candidate_pattern = candidate.pattern
-                for match in matches:
-                    if guard is not None:
-                        guard.check("search.rank")
-                    shard_index = getattr(match, "shard", 0)
-                    score = self.scorer.score_match(
-                        candidate_pattern,
-                        match,
-                        self._term_views[shard_index],
-                        candidate.penalty,
-                    )
-                    outputs = tuple(match.output_elements(candidate_pattern))
-                    key = tuple(el.region.start for el in outputs)
-                    current = best.get(key)
-                    if current is None or score.combined > current.score.combined:
-                        best[key] = ShardSearchResult(
-                            outputs=outputs,
-                            score=score,
-                            match=match,
-                            source_query=str(candidate_pattern),
-                            rewrite_steps=candidate.steps,
-                            terms=candidate_pattern.all_terms(),
-                            ordinal_offsets=self.specs[
-                                shard_index
-                            ].child_ordinal_offsets,
-                        )
-        except DeadlineExceeded:
-            pass
-        return sorted(
-            best.values(),
-            key=lambda result: (
-                -result.score.combined,
-                tuple(el.region.start for el in result.outputs),
-            ),
+    ) -> list[SearchResult]:
+        """The single-database ranking loop with global keys and scores:
+        output identity and tie-breaking use ``region.start`` (global
+        document order) instead of the shard-local ``order``, and matches
+        are scored against their shard's global-idf term view."""
+        term_views = self._term_views
+        return rank_top_k(
+            productive,
+            k,
+            deadline,
+            self.scorer,
+            lambda match: term_views[match.shard],
+            _GLOBAL_START,
         )
 
     # ------------------------------------------------------------------
@@ -844,11 +810,11 @@ class ShardedDatabase:
             if cached is not None:
                 self._parse_cache.move_to_end(query)
                 self.counters["parse_cache_hits"] += 1
-                return cached.copy()
+                return cached
             self.counters["parse_cache_misses"] += 1
         pattern = parse_twig(query)
         with self._lock:
-            self._parse_cache[query] = pattern.copy()
+            self._parse_cache[query] = pattern
             if len(self._parse_cache) > self.PARSE_CACHE_SIZE:
                 self._parse_cache.popitem(last=False)
         return pattern

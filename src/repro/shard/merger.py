@@ -21,10 +21,11 @@ monolithic ones byte for byte:
 * **autocompletion** — handled by :class:`ShardedCompletionIndex`
   (frequency-summed trie merges) driven by the merged DataGuide.
 
-Per-shard xpaths are also corrected here: an element's depth-1 ancestor
+Per-shard xpaths are corrected too: an element's depth-1 ancestor
 ordinal is shard-local (each shard holds a slice of the root's
-children), so :func:`element_xpath_sharded` adds the per-tag unit count
-of all earlier shards.
+children), so every :class:`ShardMatch` and :class:`ShardKeywordHit`
+carries its shard's per-tag unit count of all earlier shards for
+:func:`repro.engine.results.element_xpath` to add.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.engine.database import LotusXDatabase
-from repro.engine.results import SearchResult, element_xpath
+from repro.engine.results import element_xpath
 from repro.index.term_index import TermIndex
 from repro.keyword.search import KeywordHit
 from repro.labeling.assign import LabeledElement
@@ -43,13 +44,17 @@ from repro.twig.match import Match
 
 
 class ShardMatch(Match):
-    """A match produced by one shard, tagged with its origin."""
+    """A match produced by one shard, tagged with its origin and the
+    shard's xpath ordinal offsets."""
 
-    __slots__ = ("shard",)
+    __slots__ = ("shard", "ordinal_offsets")
 
-    def __init__(self, assignments, shard: int) -> None:
+    def __init__(
+        self, assignments, shard: int, ordinal_offsets: dict[str, int]
+    ) -> None:
         super().__init__(assignments)
         self.shard = shard
+        self.ordinal_offsets = ordinal_offsets
 
 
 def global_match_key(match: Match) -> tuple[tuple[int, int], ...]:
@@ -67,13 +72,18 @@ def global_order_key(match: Match) -> tuple[int, ...]:
 
 
 def matches_from_wire(
-    database: LotusXDatabase, shard_index: int, wire_matches: list
+    database: LotusXDatabase,
+    shard_index: int,
+    ordinal_offsets: dict[str, int],
+    wire_matches: list,
 ) -> list[ShardMatch]:
     """Rebuild matches from the executor's ``(node_id, order)`` pairs."""
     elements = database.labeled.elements
     return [
         ShardMatch(
-            {node_id: elements[order] for node_id, order in pairs}, shard_index
+            {node_id: elements[order] for node_id, order in pairs},
+            shard_index,
+            ordinal_offsets,
         )
         for pairs in wire_matches
     ]
@@ -141,7 +151,7 @@ class GlobalTermView:
     Subtree term frequencies are exact shard-locally (a non-root
     element's subtree never crosses a shard boundary), so only ``idf``
     needs the global view.  Quacks enough like a ``TermIndex`` for
-    :func:`repro.ranking.tfidf.text_score` and
+    :class:`repro.ranking.plan.ScoringPlan` and
     :func:`repro.keyword.search._score`.
     """
 
@@ -153,6 +163,13 @@ class GlobalTermView:
 
     def idf(self, term: str) -> float:
         return self._stats.idf(term)
+
+    def posting_list(self, term: str):
+        return self._local.posting_list(term)
+
+    @property
+    def subtree_ends(self):
+        return self._local.subtree_ends
 
     def subtree_term_frequency(self, element: LabeledElement, term: str) -> int:
         return self._local.subtree_term_frequency(element, term)
@@ -177,56 +194,6 @@ class RootTermView:
         return self._stats.term_total(term)
 
 
-# ----------------------------------------------------------------------
-# Shard-corrected xpaths
-# ----------------------------------------------------------------------
-
-
-def element_xpath_sharded(
-    element: LabeledElement, ordinal_offsets: dict[str, int]
-) -> str:
-    """:func:`element_xpath` with globally correct depth-1 ordinals.
-
-    Only the root's direct children need correction: their same-tag
-    sibling ordinal is counted within the shard, so the number of
-    same-tag units in earlier shards is added.  Deeper ordinals are
-    counted inside a single (shard-complete) subtree and are exact.
-    """
-    if not ordinal_offsets:
-        return element_xpath(element)
-    steps: list[str] = []
-    current: LabeledElement | None = element
-    while current is not None:
-        parent = current.parent
-        if parent is None:
-            steps.append(f"/{current.tag}[1]")
-        elif current.tag.startswith("@"):
-            steps.append(f"/{current.tag}")
-        else:
-            ordinal = 0
-            for sibling in parent.element.child_elements():
-                if sibling.tag == current.tag:
-                    ordinal += 1
-                if sibling is current.element:
-                    break
-            if parent.parent is None:
-                ordinal += ordinal_offsets.get(current.tag, 0)
-            steps.append(f"/{current.tag}[{ordinal}]")
-        current = parent
-    return "".join(reversed(steps))
-
-
-@dataclass(frozen=True, slots=True)
-class ShardSearchResult(SearchResult):
-    """A search hit whose xpath is corrected to global ordinals."""
-
-    ordinal_offsets: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def xpath(self) -> str:
-        return element_xpath_sharded(self.primary, self.ordinal_offsets)
-
-
 @dataclass(frozen=True, slots=True)
 class ShardKeywordHit(KeywordHit):
     """A keyword hit whose xpath is corrected to global ordinals.
@@ -243,7 +210,7 @@ class ShardKeywordHit(KeywordHit):
         from repro.engine.results import make_snippet, snippet_from_text
 
         return {
-            "xpath": element_xpath_sharded(self.element, self.ordinal_offsets),
+            "xpath": element_xpath(self.element, self.ordinal_offsets),
             "tag": self.element.tag,
             "snippet": (
                 make_snippet(self.element)

@@ -271,6 +271,14 @@ class _ColumnarNodeState:
         self.acc: list[int] = []
         self.solutions: list[tuple[int, ...]] = []
 
+    def release(self) -> None:
+        """Drop the links to other states and the per-query lists."""
+        self.parent_state = None
+        self.child_states = []
+        self.emit_plan = []
+        self.stack = []
+        self.solutions = []
+
 
 def _ascend_int(
     plan: list[tuple],
@@ -601,6 +609,13 @@ def twig_stack_match_columnar(
         stats.intermediate_results += sum(
             len(states[leaf.node_id].solutions) for leaf in leaves
         )
+        # The states point at each other (parent <-> children) and
+        # get_next at itself: unlink them so the per-query stacks and
+        # path solutions are freed by reference counting on return, not
+        # whenever the cycle collector next runs.
+        for node_state in states.values():
+            node_state.release()
+        get_next = None
 
     stats.matches = len(matches)
     return matches

@@ -19,6 +19,13 @@ class Match:
 
     __slots__ = ("assignments",)
 
+    #: Per tag, how many same-tag top-level units of the corpus precede
+    #: the labeled document this match's elements live in — what
+    #: :func:`repro.engine.results.element_xpath` adds to depth-1
+    #: ordinals.  ``None`` when that document is the whole corpus; shard
+    #: matches carry their shard's map.
+    ordinal_offsets: dict[str, int] | None = None
+
     def __init__(self, assignments: Mapping[int, LabeledElement]) -> None:
         self.assignments: dict[int, LabeledElement] = dict(assignments)
 

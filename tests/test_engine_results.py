@@ -26,6 +26,64 @@ class TestElementXPath:
     def test_root(self, small_labeled):
         assert element_xpath(small_labeled.elements[0]) == "/dblp[1]"
 
+    def test_interleaved_siblings_match_a_sibling_scan(self):
+        from repro.labeling.assign import label_document
+        from repro.xmlio.builder import parse_string
+
+        labeled = label_document(
+            parse_string(
+                "<r><a/><b><c/><a/><c/></b><a/>text<b/><a><a/></a><b/></r>"
+            )
+        )
+        for element in labeled.elements[1:]:
+            siblings = element.parent.element.child_elements()
+            ordinal = [s for s in siblings if s.tag == element.tag].index(
+                element.element
+            ) + 1
+            assert element_xpath(element).endswith(f"/{element.tag}[{ordinal}]")
+        assert element_xpath(labeled.elements[-1]) == "/r[1]/b[3]"
+
+    def test_siblings_are_counted_once_per_parent(self, monkeypatch):
+        from repro.labeling.assign import label_document
+        from repro.xmlio.builder import parse_string
+        from repro.xmlio.tree import Element
+
+        labeled = label_document(
+            parse_string("<r>" + "<a><b/><b/></a>" * 50 + "</r>")
+        )
+        scans = []
+        original = Element.child_elements
+        monkeypatch.setattr(
+            Element,
+            "child_elements",
+            lambda self: (scans.append(self.tag), original(self))[1],
+        )
+        paths = [element_xpath(b) for b in labeled.stream("b")]
+        assert paths[-1] == "/r[1]/a[50]/b[2]" and len(set(paths)) == 100
+        # One scan of <r>'s children and one per <a> — not one per path.
+        assert scans.count("r") == 1 and scans.count("a") == 50
+
+    def test_ordinal_offsets_shift_depth_one_only(self, small_labeled):
+        editor_author = [
+            e for e in small_labeled.stream("author") if e.parent.tag == "editor"
+        ][0]
+        offsets = {"book": 4, "author": 9, "dblp": 3}
+        assert (
+            element_xpath(editor_author, offsets)
+            == "/dblp[1]/book[5]/editor[1]/author[1]"
+        )
+        assert element_xpath(small_labeled.elements[0], offsets) == "/dblp[1]"
+        assert element_xpath(editor_author, {}) == element_xpath(editor_author)
+
+    def test_attribute_nodes_carry_no_ordinal(self):
+        from repro.engine.database import LotusXDatabase
+
+        db = LotusXDatabase.from_string(
+            '<r><a key="k1"/><a key="k2"/></r>', expand_attributes=True
+        )
+        keys = db.labeled.stream("@key")
+        assert [element_xpath(k) for k in keys] == ["/r[1]/a[1]/@key", "/r[1]/a[2]/@key"]
+
 
 class TestSnippet:
     def test_whitespace_collapsed(self, small_labeled):

@@ -190,3 +190,75 @@ def test_http_api_over_sharded_fleet(tmp_path):
         server.shutdown()
         server.server_close()
         holder.current.close()
+
+
+# ---------------------------------------------------------------------------
+# Streamed first answers carry corpus-wide ordinals
+# ---------------------------------------------------------------------------
+
+
+def _streamed_lines(database, query: str, k: int) -> list[dict]:
+    from repro.server.pipeline import RequestPipeline
+
+    chunks: list[bytes] = []
+    body = json.dumps({"query": query, "k": k, "stream": True}).encode()
+    fallback = RequestPipeline(database).run_search_stream(
+        "/api/search", body, len(body), chunks.append
+    )
+    assert fallback is None, fallback
+    return [json.loads(chunk) for chunk in chunks]
+
+
+_EIGHT_ARTICLES = (
+    "<dblp>"
+    + "".join(
+        f"<article><title>paper {i}</title><author>writer {i}</author></article>"
+        for i in range(8)
+    )
+    + "</dblp>"
+)
+_STREAM_QUERIES = ["//article/title", "//article[./title]/author", "//article"]
+
+
+def test_streamed_first_answers_use_global_ordinals_on_four_shards():
+    """Regression: the preliminary ``first`` line rendered depth-1
+    ordinals shard-locally — 8 articles over 4 shards streamed
+    ``article[1], article[2]`` four times."""
+    mono = LotusXDatabase.from_string(_EIGHT_ARTICLES)
+    sharded = ShardedDatabase.from_string(_EIGHT_ARTICLES, 4, executor_mode="serial")
+    try:
+        for query in _STREAM_QUERIES:
+            expected, final = _streamed_lines(mono, query, 8)
+            preliminary, ranked = _streamed_lines(sharded, query, 8)
+            assert preliminary == expected, query
+            assert len(set(preliminary["first"])) == 8
+            assert preliminary["first"][-1].startswith("/dblp[1]/article[8]")
+            # ...and agree with what the ranked pass calls the same hits.
+            assert sorted(preliminary["first"]) == sorted(
+                hit["xpath"] for hit in ranked["results"]
+            )
+    finally:
+        sharded.close()
+
+
+def test_streamed_first_answers_use_global_ordinals_on_writable_corpus(tmp_path):
+    from repro.write.writer import open_writable_database
+
+    database = open_writable_database(
+        LotusXDatabase.from_string(_EIGHT_ARTICLES),
+        tmp_path / "stream.lxwal",
+        synchronous=True,
+    )
+    try:
+        for i in range(8, 12):
+            database.writer.insert_document(
+                f"<article><title>paper {i}</title><author>writer {i}</author></article>"
+            )
+        mono = LotusXDatabase(database.writer._corpus.checkpoint_document())
+        for query in _STREAM_QUERIES:
+            expected, _ = _streamed_lines(mono, query, 12)
+            preliminary, _ = _streamed_lines(database, query, 12)
+            assert preliminary == expected, query
+            assert len(set(preliminary["first"])) == 12
+    finally:
+        database.close()

@@ -225,3 +225,47 @@ def test_filtered_stream_memo_evicts_lru(db):
         factory.filtered_stream("article", keep, key=key)
     # The oldest entry fell out; a fresh list is built for it.
     assert factory.filtered_stream("article", keep, key=0) is not first
+
+
+# ---------------------------------------------------------------------------
+# Per-query kernel state is freed by reference counting
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("trip", [False, True])
+def test_twig_stack_state_needs_no_cycle_collection(db, trip):
+    """The node states link to each other (parent <-> children): the
+    kernel must unlink them on the way out — normally and on a deadline
+    trip — or the per-query stacks and path solutions wait for whenever
+    the cycle collector next runs."""
+    import gc
+
+    from repro.twig.algorithms.twig_stack import _ColumnarNodeState
+
+    def live_states() -> int:
+        return sum(
+            1 for obj in gc.get_objects() if type(obj) is _ColumnarNodeState
+        )
+
+    pattern = db.parse_query("//dblp//article[./title][./author]")
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_states()
+        for _ in range(3):
+            if trip:
+                with pytest.raises(DeadlineExceeded):
+                    evaluate(
+                        pattern,
+                        db.labeled,
+                        db.streams,
+                        Algorithm.TWIG_STACK,
+                        deadline=Deadline(max_steps=10),
+                    )
+            else:
+                assert evaluate(
+                    pattern, db.labeled, db.streams, Algorithm.TWIG_STACK
+                )
+        assert live_states() == before
+    finally:
+        gc.enable()
