@@ -194,6 +194,30 @@ class SnapshotInfo:
 _ALLOWED_GLOBALS = {("collections", "OrderedDict")}
 
 
+class _LegacyTrie:
+    """Unpickle shim for the node tries that v1/v2 snapshots written
+    before the packed build hold in their ``completion`` section.
+
+    Such a trie was pickled as ``repro.index.trie.Trie`` with the state
+    ``(root, size)``, every node a ``[weight, best, {char: child}]``
+    list.  :func:`_decode_completion` packs its :meth:`items` on read;
+    nothing ever serves from one.
+    """
+
+    def __setstate__(self, state) -> None:
+        self._root = state[0]
+
+    def items(self):
+        """``(key, weight)`` pairs in lexicographic order."""
+        stack = [("", self._root)]
+        while stack:
+            key, (weight, _, children) = stack.pop()
+            if weight > 0:
+                yield key, weight
+            for ch in sorted(children, reverse=True):
+                stack.append((key + ch, children[ch]))
+
+
 class _SnapshotUnpickler(pickle.Unpickler):
     """Resolves only ``repro.*`` classes (plus a tiny stdlib allowlist).
 
@@ -203,6 +227,8 @@ class _SnapshotUnpickler(pickle.Unpickler):
     """
 
     def find_class(self, module: str, name: str):
+        if (module, name) == ("repro.index.trie", "Trie"):
+            return _LegacyTrie
         if module == "repro" or module.startswith("repro."):
             return super().find_class(module, name)
         if (module, name) in _ALLOWED_GLOBALS:
@@ -339,9 +365,8 @@ def _encode_terms(index: TermIndex) -> dict:
     }
 
 
-def _decode_terms(payload: dict, labeled: LabeledDocument) -> TermIndex:
+def _decode_terms(payload: dict) -> TermIndex:
     index = object.__new__(TermIndex)
-    index._labeled = labeled
     postings: dict[str, _PostingList] = {}
     for term, (orders, tfs) in payload["postings"].items():
         plist = object.__new__(_PostingList)
@@ -358,26 +383,44 @@ def _decode_terms(payload: dict, labeled: LabeledDocument) -> TermIndex:
 
 
 def _encode_completion(index: CompletionIndex) -> dict:
+    """The v2 ``completion`` payload: every trie as its sorted
+    ``(key, weight)`` list (plain containers, like the other sections)."""
+
+    def items(trie: PackedTrie) -> list[tuple[str, int]]:
+        return list(trie.items())
+
     return {
-        "tag": index.tag_trie,
-        "global_token": index.global_token_trie,
-        "global_value": index.global_value_trie,
-        "path_token": index._path_token_tries,
-        "path_value": index._path_value_tries,
+        "tag": items(index.tag_trie),
+        "global_token": items(index.global_token_trie),
+        "global_value": items(index.global_value_trie),
+        "path_token": {
+            pid: items(trie) for pid, trie in index._path_token_tries.items()
+        },
+        "path_value": {
+            pid: items(trie) for pid, trie in index._path_value_tries.items()
+        },
     }
 
 
-def _decode_completion(
-    payload: dict, labeled: LabeledDocument, term_index: TermIndex
-) -> CompletionIndex:
+def _decode_completion(payload: dict) -> CompletionIndex:
+    """Pack a v1/v2 ``completion`` payload, whose tries are item lists
+    or (files older than the packed build) pickled node tries."""
+
+    def packed(stored) -> PackedTrie:
+        if isinstance(stored, _LegacyTrie):
+            stored = stored.items()
+        return PackedTrie(*pack_items(stored))
+
     index = object.__new__(CompletionIndex)
-    index._labeled = labeled
-    index._term_index = term_index
-    index.tag_trie = payload["tag"]
-    index.global_token_trie = payload["global_token"]
-    index.global_value_trie = payload["global_value"]
-    index._path_token_tries = payload["path_token"]
-    index._path_value_tries = payload["path_value"]
+    index.tag_trie = packed(payload["tag"])
+    index.global_token_trie = packed(payload["global_token"])
+    index.global_value_trie = packed(payload["global_value"])
+    index._path_token_tries = {
+        pid: packed(stored) for pid, stored in payload["path_token"].items()
+    }
+    index._path_value_tries = {
+        pid: packed(stored) for pid, stored in payload["path_value"].items()
+    }
     return index
 
 
@@ -463,7 +506,6 @@ def _decode_terms_raw(directory: dict, raw) -> TermIndex | None:
         return None
     column = _raw_columns(directory, raw)
     index = object.__new__(TermIndex)
-    index._labeled = None  # only the from-scratch build reads it
     postings: dict[str, _PostingList] = {}
     for term, (offset, count) in directory["postings"].items():
         plist = object.__new__(_PostingList)
@@ -486,7 +528,8 @@ def _decode_terms_raw(directory: dict, raw) -> TermIndex | None:
 def _encode_completion_raw(
     index: CompletionIndex, byteorder: str
 ) -> tuple[dict, bytearray, bytearray]:
-    """Pack every completion trie; returns ``(directory, ints, keys)``.
+    """Lay out every completion trie's packed buffers as they are;
+    returns ``(directory, ints, keys)``.
 
     ``ints`` holds the int64 arrays (offsets / weights / RMQ sparse
     table) of every trie concatenated; ``keys`` holds the UTF-8 key
@@ -498,7 +541,7 @@ def _encode_completion_raw(
     keys = bytearray()
     swap = byteorder != sys.byteorder
 
-    def put(cells: array) -> int:
+    def put(cells) -> int:
         if swap:
             cells = array(_I64, cells)
             cells.byteswap()
@@ -506,8 +549,8 @@ def _encode_completion_raw(
         ints.extend(cells.tobytes())
         return offset
 
-    def put_trie(trie) -> dict:
-        blob, offsets, weights, rmq = pack_items(trie.items())
+    def put_trie(trie: PackedTrie) -> dict:
+        blob, offsets, weights, rmq = trie.buffers()
         record = {
             "n": len(weights),
             "keys": (len(keys), len(blob)),
@@ -560,8 +603,6 @@ def _decode_completion_raw(
         )
 
     index = object.__new__(CompletionIndex)
-    index._labeled = None  # only the from-scratch build reads these
-    index._term_index = None
     index.tag_trie = trie(directory["tag"])
     index.global_token_trie = trie(directory["global_token"])
     index.global_value_trie = trie(directory["global_value"])
@@ -1277,7 +1318,7 @@ class _SnapshotDatabase(LotusXDatabase):
             # Foreign array layout with no carried arrays we can adopt
             # cheaply in full: rebuild from the labels.
             return TermIndex(self.labeled)
-        return _decode_terms(self._reader.payload("terms"), self.labeled)
+        return _decode_terms(self._reader.payload("terms"))
 
     @property
     def completion_index(self) -> CompletionIndex:
@@ -1298,9 +1339,7 @@ class _SnapshotDatabase(LotusXDatabase):
             if index is not None:
                 return index
             return CompletionIndex(self.labeled, self.term_index)
-        return _decode_completion(
-            self._reader.payload("completion"), self.labeled, self.term_index
-        )
+        return _decode_completion(self._reader.payload("completion"))
 
     @property
     def streams(self) -> StreamFactory:

@@ -1,11 +1,13 @@
-"""Index layer: tries, inverted term index, tag streams, completion tries.
+"""Index layer: inverted term index, tag streams, packed completion tries.
 
 Everything the query-time components (autocompletion, twig matching,
-ranking) read is built here, in one pass over a labeled document.
+ranking) read is built here from a labeled document: the term index in
+one tokenizing pass, the completion tries from the term index's counts.
 """
 
 from repro.index.completion_index import CompletionIndex
 from repro.index.element_index import ElementFilter, StreamCursor, StreamFactory
+from repro.index.packed import PackedTrie
 from repro.index.statistics import CorpusStatistics, compute_statistics
 from repro.index.term_index import Posting, TermIndex
 from repro.index.text import (
@@ -15,7 +17,6 @@ from repro.index.text import (
     normalize,
     tokenize,
 )
-from repro.index.trie import Trie
 
 __all__ = [
     "MAX_VALUE_LENGTH",
@@ -23,11 +24,11 @@ __all__ = [
     "CompletionIndex",
     "CorpusStatistics",
     "ElementFilter",
+    "PackedTrie",
     "Posting",
     "StreamCursor",
     "StreamFactory",
     "TermIndex",
-    "Trie",
     "completion_value",
     "compute_statistics",
     "normalize",

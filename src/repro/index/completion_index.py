@@ -19,51 +19,67 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from repro.index.packed import PackedTrie
 from repro.index.term_index import TermIndex
-from repro.index.text import completion_value, tokenize
-from repro.index.trie import Trie
 from repro.labeling.assign import LabeledDocument
 
 
 class CompletionIndex:
-    """All completion tries for one labeled document."""
+    """All completion tries for one labeled document.
+
+    Built from counts, not by insertion: the term pass has already
+    tokenized and normalized every element's direct text, so the token
+    and value weights are summed out of its postings into plain dicts
+    (globally and per DataGuide path) and each dict is packed once.
+    The result is keyed by path id and reads no region label, so — like
+    the :class:`~repro.index.term_index.TermIndex` it derives from — it
+    is independent of where the document's labels sit in a larger corpus.
+    """
 
     def __init__(self, labeled: LabeledDocument, term_index: TermIndex) -> None:
-        self._labeled = labeled
-        self._term_index = term_index
-        self.tag_trie = Trie()
-        self.global_token_trie = Trie()
-        self.global_value_trie = Trie()
-        self._path_token_tries: dict[int, Trie] = {}
-        self._path_value_tries: dict[int, Trie] = {}
-        self._build()
+        tags: dict[str, int] = {}
+        for path_node in labeled.guide.iter_nodes():
+            tags[path_node.tag] = tags.get(path_node.tag, 0) + path_node.count
+        path_of = [element.path_node.node_id for element in labeled.elements]
+        tokens, path_tokens = _sum_weights(term_index.iter_postings(), path_of)
+        values, path_values = _sum_weights(
+            (
+                (value, orders, [1] * len(orders))
+                for value, orders in term_index.iter_value_postings()
+            ),
+            path_of,
+        )
 
-    def _build(self) -> None:
-        for path_node in self._labeled.guide.iter_nodes():
-            self.tag_trie.add(path_node.tag, path_node.count)
-        for labeled_element in self._labeled.elements:
-            text = labeled_element.element.direct_text
-            if not text.strip():
-                continue
-            path_id = labeled_element.path_node.node_id
-            tokens = tokenize(text)
-            if tokens:
-                token_trie = self._path_token_tries.setdefault(path_id, Trie())
-                for token in tokens:
-                    token_trie.add(token)
-                    self.global_token_trie.add(token)
-            value = completion_value(text)
-            if value is not None:
-                self._path_value_tries.setdefault(path_id, Trie()).add(value)
-                self.global_value_trie.add(value)
+        pack = PackedTrie.from_counts
+        self.tag_trie = pack(tags)
+        self.global_token_trie = pack(tokens)
+        self.global_value_trie = pack(values)
+        self._path_token_tries = {
+            path_id: pack(counts) for path_id, counts in path_tokens.items()
+        }
+        self._path_value_tries = {
+            path_id: pack(counts) for path_id, counts in path_values.items()
+        }
 
     # ------------------------------------------------------------------
     # Tag completion
     # ------------------------------------------------------------------
 
     def complete_tag(self, prefix: str, k: int = 10) -> list[tuple[str, int]]:
-        """Top-k tag names by element count (position-blind)."""
-        return self.tag_trie.complete(prefix.lower(), k)
+        """Top-k tag names by element count (position-blind).
+
+        Case-insensitive like the position-aware path, and tags come back
+        in their real case — so the (small) tag vocabulary is filtered,
+        not prefix-searched: its keys are not case-folded.
+        """
+        normalized = prefix.lower()
+        pool = [
+            item
+            for item in self.tag_trie.items()
+            if item[0].lower().startswith(normalized)
+        ]
+        pool.sort(key=lambda item: (-item[1], item[0]))
+        return pool[:k]
 
     # ------------------------------------------------------------------
     # Value completion
@@ -99,8 +115,26 @@ class CompletionIndex:
         return path_id in self._path_value_tries or path_id in self._path_token_tries
 
 
+def _sum_weights(
+    postings: Iterable[tuple[str, Iterable[int], Iterable[int]]],
+    path_of: list[int],
+) -> tuple[dict[str, int], dict[int, dict[str, int]]]:
+    """Total weight per key, overall and per DataGuide path id, from
+    ``(key, element orders, weight at each order)`` postings."""
+    totals: dict[str, int] = {}
+    by_path: dict[int, dict[str, int]] = {}
+    for key, orders, weights in postings:
+        totals[key] = sum(weights)
+        for order, weight in zip(orders, weights):
+            counts = by_path.get(path_of[order])
+            if counts is None:
+                counts = by_path[path_of[order]] = {}
+            counts[key] = counts.get(key, 0) + weight
+    return totals, by_path
+
+
 def _merge_completions(
-    tries: Iterable[Trie | None], prefix: str, k: int
+    tries: Iterable[PackedTrie | None], prefix: str, k: int
 ) -> list[tuple[str, int]]:
     """Union per-trie top-k lists, summing weights for shared keys.
 

@@ -1,10 +1,10 @@
-"""Packed, array-backed completion tries for zero-copy snapshots.
+"""Packed, array-backed completion tries.
 
-The pickled list-node :class:`~repro.index.trie.Trie` deserializes fast,
-but it still *materializes* — every node becomes heap objects at load
-time, which is exactly what the mmap snapshot path must avoid.  A
-:class:`PackedTrie` is the same weighted top-k dictionary flattened into
-four flat buffers that can live directly inside a mapped snapshot:
+A :class:`PackedTrie` is LotusX's weighted top-k prefix dictionary — the
+only one any serving path sees.  It is built in one step from a dict of
+key counts (:meth:`PackedTrie.from_counts`: sort, encode, one sparse
+table — no per-character node inserts, no cyclic garbage), and its four
+flat buffers can live directly inside a mapped snapshot:
 
 ``keys``
     the UTF-8 bytes of every key, concatenated in lexicographic order;
@@ -16,7 +16,9 @@ four flat buffers that can live directly inside a mapped snapshot:
 ``rmq``
     a sparse table of range-maximum argmax positions over ``weights``
     (levels ``j >= 1`` concatenated; level 0 — single positions — is
-    implicit), precomputed at *save* time so load does no work at all.
+    implicit).  It is built the first time a top-k completion or the
+    snapshot writer asks for it and stored in the snapshot, so a load
+    does no work on it.
 
 Because UTF-8 compares bytewise exactly like code points, the sorted key
 blob supports prefix lookup by binary search, and a prefix's matches are
@@ -25,8 +27,9 @@ then runs a best-first search over *segments* of that range: a max-heap
 entry carries a segment and its argmax (found in O(1) via the sparse
 table); popping it emits the argmax key and splits the segment in two.
 Ordering is ``(-weight, index)`` and index order is lexicographic order,
-so the output is element-for-element identical to ``Trie.complete`` —
-top-k by descending weight, ties broken alphabetically.
+so the output is top-k by descending weight, ties broken alphabetically
+— element for element what a character trie with subtree-max pruning
+returns (``tests/trie_oracle.py`` keeps one as the reference).
 
 All four buffers may be ``array('q')`` / ``bytes`` (heap-backed loads)
 or ``memoryview`` slices of an mmap (zero-copy loads); the structure
@@ -39,6 +42,8 @@ import heapq
 import itertools
 from array import array
 from collections.abc import Iterable, Iterator
+from itertools import accumulate
+from operator import ge
 
 _TYPECODE = "q"
 
@@ -61,19 +66,17 @@ def build_rmq(weights) -> array:
     """
     n = len(weights)
     table = array(_TYPECODE)
+    weight = list(weights)
     previous = list(range(n))
-    j = 1
-    while (1 << j) <= n:
-        half = 1 << (j - 1)
-        count = n - (1 << j) + 1
-        current = [0] * count
-        for i in range(count):
-            a = previous[i]
-            b = previous[i + half]
-            current[i] = a if weights[a] >= weights[b] else b
-        table.extend(current)
-        previous = current
-        j += 1
+    half = 1
+    while 2 * half <= n:
+        # zip stops at the shorter (shifted) list: n - 2 * half + 1 rows.
+        previous = [
+            a if weight[a] >= weight[b] else b
+            for a, b in zip(previous, previous[half:])
+        ]
+        table.extend(previous)
+        half *= 2
     return table
 
 
@@ -83,33 +86,29 @@ def pack_items(
     """Flatten lexicographically ordered ``(key, weight)`` pairs.
 
     Returns ``(keys_blob, offsets, weights, rmq)`` — the four buffers a
-    :class:`PackedTrie` is built from.  Keys must be strictly increasing
-    (the order :meth:`Trie.items` yields).
+    :class:`PackedTrie` is built from.  Keys must be strictly increasing.
     """
-    blob = bytearray()
+    blob, offsets, weights = _pack_keys(list(items))
+    return blob, offsets, weights, build_rmq(weights)
+
+
+def _pack_keys(pairs: list[tuple[str, int]]) -> tuple[bytes, array, array]:
+    encoded = [key.encode("utf-8") for key, _ in pairs]
+    if any(map(ge, encoded, encoded[1:])):
+        at = next(i for i in range(1, len(encoded)) if encoded[i - 1] >= encoded[i])
+        raise ValueError(
+            f"trie keys are not strictly increasing at {pairs[at][0]!r}"
+        )
     offsets = array(_TYPECODE, [0])
-    weights = array(_TYPECODE)
-    previous: bytes | None = None
-    for key, weight in items:
-        encoded = key.encode("utf-8")
-        if previous is not None and encoded <= previous:
-            raise ValueError(
-                f"trie keys are not strictly increasing at {key!r}"
-            )
-        previous = encoded
-        blob += encoded
-        offsets.append(len(blob))
-        weights.append(weight)
-    return bytes(blob), offsets, weights, build_rmq(weights)
+    offsets.extend(accumulate(map(len, encoded)))
+    weights = array(_TYPECODE, [weight for _, weight in pairs])
+    return b"".join(encoded), offsets, weights
 
 
 class PackedTrie:
-    """Read-only weighted dictionary over packed (possibly mapped) buffers.
-
-    API-compatible with the query surface of
-    :class:`~repro.index.trie.Trie` (``complete`` / ``iter_prefix`` /
-    ``items`` / ``weight`` / ``in`` / ``len``) — everything except
-    ``add``, which loaded completion indexes never call.
+    """Read-only weighted dictionary over packed (possibly mapped) buffers:
+    ``complete`` / ``iter_prefix`` / ``items`` / ``weight`` / ``in`` /
+    ``len``.  There is no ``add`` — a trie is packed once, from counts.
     """
 
     __slots__ = ("_keys", "_offsets", "_weights", "_rmq", "_n", "_level_starts")
@@ -118,6 +117,10 @@ class PackedTrie:
         self._keys = keys
         self._offsets = offsets
         self._weights = weights
+        #: ``None`` until something needs the sparse table — a top-k
+        #: :meth:`complete` or the snapshot writer.  Write-path segments
+        #: are read through ``iter_prefix`` merges and rebuilt often, so
+        #: most of their tries never pay for one.
         self._rmq = rmq
         self._n = len(weights)
         starts = [0]
@@ -129,9 +132,26 @@ class PackedTrie:
         self._level_starts = starts
 
     @classmethod
+    def from_counts(cls, counts: dict[str, int]) -> PackedTrie:
+        """Pack ``{key: weight}``.  Code-point order is UTF-8 byte order,
+        so the plain string sort is the key-blob order."""
+        return cls(*_pack_keys(sorted(counts.items())), None)
+
+    @classmethod
     def from_trie(cls, trie) -> PackedTrie:
         """Pack any object with a lexicographic ``items()`` iterator."""
         return cls(*pack_items(trie.items()))
+
+    def buffers(self) -> tuple:
+        """``(keys, offsets, weights, rmq)`` — what the snapshot writes."""
+        return self._keys, self._offsets, self._weights, self._table()
+
+    def _table(self):
+        rmq = self._rmq
+        if rmq is None:
+            # Racing first callers build equal tables; last store wins.
+            rmq = self._rmq = build_rmq(self._weights)
+        return rmq
 
     # ------------------------------------------------------------------
     # Key access
@@ -186,7 +206,8 @@ class PackedTrie:
         return lo, hi
 
     def _argmax(self, lo: int, hi: int) -> int:
-        """Index of the max weight in ``[lo, hi)`` (leftmost on ties)."""
+        """Index of the max weight in ``[lo, hi)`` (leftmost on ties);
+        the sparse table must exist (:meth:`_table`)."""
         span = hi - lo
         if span == 1:
             return lo
@@ -201,13 +222,13 @@ class PackedTrie:
     # ------------------------------------------------------------------
 
     def complete(self, prefix: str, k: int = 10) -> list[tuple[str, int]]:
-        """Top-``k`` keys with ``prefix`` by ``(-weight, key)`` — exactly
-        :meth:`Trie.complete`'s contract."""
+        """Top-``k`` keys with ``prefix`` by ``(-weight, key)``."""
         if k <= 0:
             return []
         lo, hi = self._range(prefix)
         if lo >= hi:
             return []
+        self._table()
         weights = self._weights
         counter = itertools.count()
         results: list[tuple[str, int]] = []

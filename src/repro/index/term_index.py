@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.index.text import completion_value, normalize, tokenize
@@ -73,17 +73,21 @@ class TermIndex:
     """Inverted index of direct-text tokens, values, and numbers."""
 
     def __init__(self, labeled: LabeledDocument) -> None:
-        self._labeled = labeled
+        # Everything below is keyed by element *order* and reads regions
+        # only as differences, so the index is independent of where the
+        # document's labels sit in a larger corpus — the live write path
+        # shares one index between re-placed copies of a segment — and
+        # holds no reference to ``labeled``.
         self._postings: dict[str, _PostingList] = {}
         self._value_postings: dict[str, list[int]] = {}
         self._numeric: dict[int, float] = {}
         self._token_counts: dict[int, int] = {}
         self._subtree_end: list[int] = []
         self._total_tokens = 0
-        self._build()
+        self._build(labeled)
 
-    def _build(self) -> None:
-        for labeled_element in self._labeled.elements:
+    def _build(self, labeled: LabeledDocument) -> None:
+        for labeled_element in labeled.elements:
             region = labeled_element.region
             # Each descendant consumes two counter ticks, so the subtree
             # size (self included) is (end - start + 1) // 2.
@@ -148,6 +152,15 @@ class TermIndex:
 
     def vocabulary(self) -> Iterable[str]:
         return self._postings.keys()
+
+    def iter_postings(self) -> Iterator[tuple[str, Sequence[int], Sequence[int]]]:
+        """``(term, orders, tfs)`` for every term (shared columns)."""
+        for term, plist in self._postings.items():
+            yield term, plist.orders, plist.tfs
+
+    def iter_value_postings(self) -> Iterable[tuple[str, Sequence[int]]]:
+        """``(normalized value, orders)`` for every completable value."""
+        return self._value_postings.items()
 
     @property
     def total_tokens(self) -> int:

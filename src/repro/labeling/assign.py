@@ -11,6 +11,10 @@
 The DataGuide and child-tag tables are built in a first cheap pass (they
 are needed *before* extended Dewey components can be computed), then labels
 are assigned in a second preorder pass.
+
+:func:`place_labeled` is the second, much cheaper stage a sharded or
+segmented corpus adds: it copies a labeled document to a position in a
+larger corpus's tick space without relabeling anything else.
 """
 
 from __future__ import annotations
@@ -242,3 +246,43 @@ def label_document(document: Document) -> LabeledDocument:
 
     walk(document.root, 0, Dewey(), ExtendedDewey(), root_path_node, None)
     return LabeledDocument(document, guide, child_table, elements)
+
+
+def place_labeled(
+    labeled: LabeledDocument, tick_delta: int, root_end: int
+) -> LabeledDocument:
+    """A copy of ``labeled`` at another position in a corpus's tick space.
+
+    Every non-root region moves by ``tick_delta`` ticks and the root
+    spans ``(0, root_end)``.  The copy consists of *new*
+    :class:`LabeledElement` objects — whoever still holds ``labeled``
+    keeps reading the old position — over the same document, guide,
+    child-tag table, Dewey labels and path nodes, none of which depend
+    on the position.  Orders are unchanged, so every order-keyed index
+    built over ``labeled`` serves the copy as it is.
+    """
+    placed: list[LabeledElement] = []
+    for source in labeled.elements:
+        region = source.region
+        parent = source.parent
+        if parent is None:
+            region = Region(0, root_end, 0)
+        elif tick_delta:
+            region = Region(
+                region.start + tick_delta, region.end + tick_delta, region.level
+            )
+        copy = LabeledElement(
+            source.element,
+            source.order,
+            region,
+            source.dewey,
+            source.xdewey,
+            source.path_node,
+            # Preorder: a parent is placed before its children.
+            None if parent is None else placed[parent.order],
+        )
+        copy._child_ordinals = source._child_ordinals
+        placed.append(copy)
+    return LabeledDocument(
+        labeled.document, labeled.guide, labeled.child_table, placed
+    )

@@ -135,9 +135,11 @@ class ShardedDatabase:
             GlobalTermView(db.term_index, self.term_stats) for db in self.shards
         ]
         self._root_view = RootTermView(self.term_stats)
+        # Deepest element level (root = 0): every element sits at some
+        # DataGuide path, so the merged guide knows it without a scan of
+        # the shards' labels (a live-write view is built per batch).
         self._max_depth = max(
-            (el.level for db in self.shards for el in db.labeled.elements),
-            default=0,
+            (node.depth - 1 for node in self.guide.iter_nodes()), default=0
         )
         self.rewriter = QueryRewriter(default_rules(self.guide, synonyms))
         self._lock = threading.Lock()

@@ -393,7 +393,7 @@ class ShardedCompletionIndex:
         pool = [
             (tag, self._merged_guide.tag_count(tag))
             for tag in self._merged_guide.all_tags()
-            if tag.startswith(normalized)
+            if tag.lower().startswith(normalized)
         ]
         ranked = sorted(pool, key=lambda item: (-item[1], item[0]))
         return ranked[:k]

@@ -10,7 +10,7 @@ document consisting of a **replica of the root** plus the shard's units.
 
 The trick that makes scatter-gather merging exact is the *region shift*:
 shard-local preorder ``order`` values stay dense (``0..n_local-1``, so
-every index keyed by order — term postings, ``_subtree_end``, columnar
+every index keyed by order — term postings, subtree ends, columnar
 columns — works unchanged), but every element's containment
 :class:`~repro.labeling.region.Region` is translated into **global
 coordinates**: shard *i* adds ``2 * E_i`` ticks (``E_i`` = elements in
@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 from repro.engine.database import LotusXDatabase
 from repro.index.completion_index import CompletionIndex
 from repro.index.term_index import TermIndex
-from repro.labeling.assign import LabeledDocument, label_document
-from repro.labeling.region import Region
+from repro.labeling.assign import LabeledDocument, label_document, place_labeled
 from repro.ranking.scorer import LotusXScorer
 from repro.xmlio.tree import Document, Element, Text
 
@@ -225,27 +224,6 @@ def partition_document(document: Document, shards: int) -> PartitionPlan:
     )
 
 
-def shift_regions(labeled: LabeledDocument, spec: ShardSpec) -> None:
-    """Translate a freshly labeled shard into global region coordinates.
-
-    Uniformly shifts every non-root label by ``spec.tick_shift`` ticks
-    and widens the root replica to span the whole corpus
-    (``(0, 2 * total - 1)``), reproducing exactly the labels the
-    monolithic combined document would carry.
-    """
-    shift = spec.tick_shift
-    for labeled_element in labeled.elements:
-        region = labeled_element.region
-        if labeled_element.order == 0:
-            labeled_element.region = Region(
-                0, 2 * spec.total_elements - 1, 0
-            )
-        elif shift:
-            labeled_element.region = Region(
-                region.start + shift, region.end + shift, region.level
-            )
-
-
 def build_shard_database(
     document: Document,
     spec: ShardSpec,
@@ -255,18 +233,68 @@ def build_shard_database(
     """Index one shard document as a full ``LotusXDatabase`` whose labels
     live in global region coordinates.
 
-    Regions are shifted *before* the term index and columnar streams are
-    built, so ``_subtree_end``, skip pointers, and every downstream
-    consumer see the global coordinates from the start.  Orders stay
-    shard-local and dense, which keeps every order-keyed structure (and
-    the snapshot codecs) working unchanged.
+    Two stages.  The **content stage** labels the document on its own
+    (local ticks from 0) and builds the term and completion indexes;
+    both are keyed by shard-local order or DataGuide path id and never
+    store a region, so nothing in them depends on where the shard sits.
+    The **placement stage** (:func:`place_shard_database`) then puts the
+    labels at ``spec``'s position in the corpus.  A shard whose content
+    is unchanged but whose position moved repeats only the second stage.
     """
+    labeled = label_document(document)
+    term_index = TermIndex(labeled)
+    completion_index = CompletionIndex(labeled, term_index)
+    return _placed_database(
+        labeled, 0, spec, term_index, completion_index, scorer, synonyms
+    )
+
+
+def place_shard_database(
+    database: LotusXDatabase, placed_at: ShardSpec, spec: ShardSpec
+) -> LotusXDatabase:
+    """``database`` (placed at ``placed_at``) re-placed at ``spec``.
+
+    The result is a new database over new labels, a new stream factory
+    and fresh query caches at the new base; it *shares* the document,
+    DataGuide, term index and completion index with ``database``, which
+    keeps answering at its old position for whoever still holds it.
+    """
+    return _placed_database(
+        database.labeled,
+        placed_at.element_offset,
+        spec,
+        database.term_index,
+        database.completion_index,
+        database.scorer,
+        database._synonyms,
+    )
+
+
+def _placed_database(
+    labeled: LabeledDocument,
+    labeled_at: int,
+    spec: ShardSpec,
+    term_index: TermIndex,
+    completion_index: CompletionIndex,
+    scorer: LotusXScorer | None,
+    synonyms: dict[str, tuple[str, ...]] | None,
+) -> LotusXDatabase:
+    """The placement stage: shift every non-root label from element
+    offset ``labeled_at`` to ``spec.element_offset`` (two ticks per
+    element) and widen the root replica to span the whole corpus,
+    ``(0, 2 * total - 1)`` — exactly the labels the monolithic combined
+    document would carry.  Orders stay shard-local and dense, which
+    keeps every order-keyed structure (and the snapshot codecs) working
+    unchanged."""
     database = LotusXDatabase.__new__(LotusXDatabase)
-    database.document = document
+    database.document = labeled.document
     database.expanded_attributes = False
-    database.labeled = label_document(document)
-    shift_regions(database.labeled, spec)
-    database.term_index = TermIndex(database.labeled)
-    database.completion_index = CompletionIndex(database.labeled, database.term_index)
+    database.labeled = place_labeled(
+        labeled,
+        2 * (spec.element_offset - labeled_at),
+        2 * spec.total_elements - 1,
+    )
+    database.term_index = term_index
+    database.completion_index = completion_index
     database._finish_wiring(scorer, synonyms)
     return database

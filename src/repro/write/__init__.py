@@ -9,9 +9,10 @@ single-writer, many-reader live database:
   tail) to land back on exactly the pre-crash state.
 * :mod:`repro.write.segments` — :class:`~repro.write.segments.SegmentedCorpus`,
   the LSM-flavoured delta-segment store.  Inserts flush into small tail
-  segments; updates rebuild only the owning segment (plus, when the
-  subtree size changes, the suffix whose labels must shift); background
-  compaction folds deltas back into the base.
+  segments; updates re-index only the owning segment (when the subtree
+  size changes, the segments behind it are re-placed at their shifted
+  label base, sharing their indexes); background compaction folds the
+  deltas back together.
 * :mod:`repro.write.writer` — :class:`~repro.write.writer.DocumentWriter`,
   the single-writer mutation pipeline (validate → WAL append → queue →
   apply batch → swap the serving view).

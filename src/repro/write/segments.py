@@ -34,23 +34,44 @@ in-place size change is attempted with
 :meth:`~repro.labeling.region.RegionAllocator.resize` (which succeeds
 exactly when no later segment would have to move — e.g. growth at the
 corpus tail), and :class:`~repro.labeling.region.GapExhausted` is the
-signal that later segments must be relabeled (their blocks released and
-re-allocated at shifted bases).
+signal that later segments must move (their blocks released and
+re-allocated at shifted bases, their labels re-placed there).
 
-Mutation cost profile (the LSM trade):
+Mutation cost profile (the LSM trade).  A segment is built in two
+stages (:func:`repro.shard.partitioner.build_shard_database`): the
+**content stage** labels its documents and builds the term and
+completion indexes — all keyed by segment-local order or DataGuide path
+id, none storing a label — and the **placement stage** copies the labels
+to the segment's tick base.  *Re-indexing* a segment runs both;
+*re-placing* it runs only the second
+(:func:`~repro.shard.partitioner.place_shard_database`: new labels, new
+stream factory, the document, guide and both indexes shared), roughly
+one object copy per element against tokenizing and indexing it.
 
-* insert — the batch's new documents flush into one fresh tail segment:
-  O(batch), no existing segment touched (beyond the root-width patch);
-* update, same subtree size — rebuild only the owning segment;
-* update with size change, or delete — rebuild the owning segment and
-  relabel/rebuild every later segment (the suffix shift);
+* insert — the batch's new documents are indexed into one fresh tail
+  segment: O(batch).  Every other segment keeps its database and takes
+  the root-width patch;
+* update, same subtree size — re-index the owning segment only;
+* update with size change, or delete — re-index the owning segment and
+  re-place every later one (the suffix shift).  A re-placed segment is
+  a *new* database object: a reader still holding the previous view
+  keeps the old labels;
 * compaction — fold the accumulated delta segments back into few big
   ones (:meth:`SegmentedCorpus.compact_deltas`) or into a single base
-  (:meth:`SegmentedCorpus.compact`).
+  (:meth:`SegmentedCorpus.compact`); the merged segment is re-indexed.
+
+Nothing a write does scales with segments it does not touch: each
+segment carries its element count and per-tag unit counts, and the
+corpus maps every document id to its segment, so locating a document
+and recomputing the layout read one number per segment.
+:class:`ApplyResult` (and the writer's ``counters``) report
+``segments_reindexed``, ``segments_replaced`` and ``elements_reindexed``
+per batch.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.engine.database import LotusXDatabase
@@ -60,6 +81,7 @@ from repro.shard.partitioner import (
     ShardSpec,
     build_shard_database,
     copy_subtree,
+    place_shard_database,
     subtree_element_count,
 )
 from repro.xmlio.tree import Document, Element, Text
@@ -99,6 +121,10 @@ class LiveSegment:
     existing database (the base at startup) starts with ``units=None``
     and materializes copies lazily, on first rebuild — an untouched base
     never pays the copy.
+
+    ``element_count`` and ``unit_tags`` summarize the units so that the
+    layout of a segment no write touched is never recomputed from them;
+    :meth:`set_unit` and :meth:`remove_unit` keep them in step.
     """
 
     doc_ids: list[str]
@@ -107,22 +133,67 @@ class LiveSegment:
     database: LotusXDatabase | None = None
     spec: ShardSpec | None = None
     block: TickBlock | None = None
+    #: Elements in this segment's units (root replica excluded).
+    element_count: int = field(init=False)
+    #: Per-tag count of this segment's units (what later segments add to
+    #: their depth-1 xpath ordinals).
+    unit_tags: Counter = field(init=False)
 
-    @property
-    def element_count(self) -> int:
-        """Elements in this segment's units (root replica excluded)."""
-        return sum(self.weights)
+    def __post_init__(self) -> None:
+        self.element_count = sum(self.weights)
+        self.unit_tags = Counter(unit.tag for unit in self.iter_units())
+
+    def iter_units(self):
+        if self.units is not None:
+            return iter(self.units)
+        return iter(self.database.document.root.child_elements())
+
+    def materialize(self) -> None:
+        """Give an adopted segment its own master unit copies."""
+        if self.units is None:
+            self.units = [copy_subtree(unit) for unit in self.iter_units()]
+
+    def set_unit(self, position: int, unit: Element) -> None:
+        """Replace the unit at ``position`` (units must be materialized)."""
+        self._forget(position)
+        weight = subtree_element_count(unit)
+        self.units[position] = unit
+        self.weights[position] = weight
+        self.element_count += weight
+        self.unit_tags[unit.tag] += 1
+
+    def remove_unit(self, position: int) -> None:
+        """Drop the unit at ``position`` (units must be materialized)."""
+        self._forget(position)
+        del self.units[position]
+        del self.weights[position]
+        del self.doc_ids[position]
+
+    def _forget(self, position: int) -> None:
+        tag = self.units[position].tag
+        self.element_count -= self.weights[position]
+        self.unit_tags[tag] -= 1
+        if not self.unit_tags[tag]:
+            del self.unit_tags[tag]  # specs list only tags that occur
 
 
 @dataclass
 class ApplyResult:
-    """What one :meth:`SegmentedCorpus.apply` call did."""
+    """What one :meth:`SegmentedCorpus.apply` call did.
+
+    ``segments_reindexed`` counts segments whose content stage ran
+    (labels, term index, completion index) and ``elements_reindexed``
+    the elements that went through it, root replicas included;
+    ``segments_replaced`` counts clean segments that only moved to a new
+    tick base.
+    """
 
     inserts: int = 0
     updates: int = 0
     deletes: int = 0
-    segments_rebuilt: int = 0
-    segments_relabeled: int = 0
+    segments_reindexed: int = 0
+    segments_replaced: int = 0
+    elements_reindexed: int = 0
     segments_dropped: int = 0
     counters: dict = field(default_factory=dict)
 
@@ -196,7 +267,8 @@ class SegmentedCorpus:
         if base.element_count:
             base.block = self.allocator.allocate_tail(2 * base.element_count)
         self.segments: list[LiveSegment] = [base]
-        self._ids = set(base.doc_ids)
+        #: Document id -> the segment holding it.
+        self._owner: dict[str, LiveSegment] = dict.fromkeys(base.doc_ids, base)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -219,15 +291,15 @@ class SegmentedCorpus:
         return [doc_id for segment in self.segments for doc_id in segment.doc_ids]
 
     def contains(self, doc_id: str) -> bool:
-        return doc_id in self._ids
+        return doc_id in self._owner
 
-    def _locate(self, doc_id: str) -> tuple[int, int]:
-        for index, segment in enumerate(self.segments):
-            try:
-                return index, segment.doc_ids.index(doc_id)
-            except ValueError:
-                continue
-        raise UnknownDocument(f"no document with id {doc_id!r}")
+    def _locate(self, doc_id: str) -> tuple[LiveSegment, int]:
+        """The segment holding ``doc_id`` and the document's position in
+        it; only that one segment's id list is searched."""
+        segment = self._owner.get(doc_id)
+        if segment is None:
+            raise UnknownDocument(f"no document with id {doc_id!r}")
+        return segment, segment.doc_ids.index(doc_id)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -238,34 +310,32 @@ class SegmentedCorpus:
 
         The logical unit lists are updated first, then the layout is
         recomputed once (:meth:`_relayout`): specs for every segment, a
-        rebuild for segments whose content or label base changed, and a
-        root-width patch for untouched survivors.  The batch's inserts
-        flush into a single fresh tail segment.
+        re-index for segments whose content changed, a re-placement for
+        clean segments whose label base moved, and a root-width patch
+        for untouched survivors.  The batch's inserts flush into a
+        single fresh tail segment.
         """
         result = ApplyResult()
         pending_ids: list[str] = []
         pending_units: list[Element] = []
-        dirty: set[int] = set()  # identity keys of segments to rebuild
+        dirty: set[int] = set()  # identity keys of segments to re-index
 
         for mutation in mutations:
             doc_id = mutation.doc_id
             if mutation.op == "insert":
-                if doc_id in self._ids or doc_id in pending_ids:
+                if doc_id in self._owner or doc_id in pending_ids:
                     raise DuplicateDocument(f"document {doc_id!r} already exists")
                 pending_ids.append(doc_id)
                 pending_units.append(mutation.unit)
-                self._ids.add(doc_id)
                 result.inserts += 1
             elif mutation.op == "update":
                 if doc_id in pending_ids:
                     pending_units[pending_ids.index(doc_id)] = mutation.unit
                     result.updates += 1
                     continue
-                index, position = self._locate(doc_id)
-                segment = self.segments[index]
-                self._materialize(segment)
-                segment.units[position] = mutation.unit
-                segment.weights[position] = subtree_element_count(mutation.unit)
+                segment, position = self._locate(doc_id)
+                segment.materialize()
+                segment.set_unit(position, mutation.unit)
                 dirty.add(id(segment))
                 result.updates += 1
             elif mutation.op == "delete":
@@ -274,26 +344,23 @@ class SegmentedCorpus:
                     del pending_ids[position]
                     del pending_units[position]
                 else:
-                    index, position = self._locate(doc_id)
-                    segment = self.segments[index]
-                    self._materialize(segment)
-                    del segment.units[position]
-                    del segment.weights[position]
-                    del segment.doc_ids[position]
+                    segment, position = self._locate(doc_id)
+                    segment.materialize()
+                    segment.remove_unit(position)
+                    del self._owner[doc_id]
                     dirty.add(id(segment))
-                self._ids.discard(doc_id)
                 result.deletes += 1
             else:
                 raise ValueError(f"unknown mutation op {mutation.op!r}")
 
         if pending_ids:
-            self.segments.append(
-                LiveSegment(
-                    doc_ids=pending_ids,
-                    weights=[subtree_element_count(unit) for unit in pending_units],
-                    units=pending_units,
-                )
+            tail = LiveSegment(
+                doc_ids=pending_ids,
+                weights=[subtree_element_count(unit) for unit in pending_units],
+                units=pending_units,
             )
+            self.segments.append(tail)
+            self._own(tail)
         # An emptied delta segment disappears; segment 0 stays (it
         # carries the root replica's direct text).
         survivors = [
@@ -303,9 +370,11 @@ class SegmentedCorpus:
         ]
         result.segments_dropped = len(self.segments) - len(survivors)
         self.segments = survivors
-        rebuilt, relabeled = self._relayout(dirty)
-        result.segments_rebuilt = rebuilt
-        result.segments_relabeled = relabeled
+        (
+            result.segments_reindexed,
+            result.segments_replaced,
+            result.elements_reindexed,
+        ) = self._relayout(dirty)
         return result
 
     def compact_deltas(self, keep_segments: int = 2) -> int:
@@ -321,6 +390,7 @@ class SegmentedCorpus:
         merged = self._merge_segments(self.segments[1:])
         before = len(self.segments)
         self.segments = [self.segments[0], merged]
+        self._own(merged)
         self._relayout({id(merged)})
         return before - len(self.segments)
 
@@ -336,6 +406,7 @@ class SegmentedCorpus:
         merged = self._merge_segments(self.segments)
         before = len(self.segments)
         self.segments = [merged]
+        self._own(merged)
         self._relayout({id(merged)})
         return before - 1
 
@@ -345,7 +416,7 @@ class SegmentedCorpus:
         for value in self.root_texts:
             root.append(Text(value))
         for segment in self.segments:
-            for unit in self._iter_units(segment):
+            for unit in segment.iter_units():
                 root.append(copy_subtree(unit))
         return Document(root, source_name="live corpus")
 
@@ -379,19 +450,22 @@ class SegmentedCorpus:
     # Layout
     # ------------------------------------------------------------------
 
-    def _relayout(self, dirty: set[int]) -> tuple[int, int]:
+    def _relayout(self, dirty: set[int]) -> tuple[int, int, int]:
         """Recompute specs, tick blocks, and databases after a mutation.
 
         ``dirty`` holds ``id()`` keys of segments whose *content*
-        changed.  Everything else is decided from the layout: a segment
-        whose tick block cannot stay where it is (its label base moved,
-        or an in-place :meth:`~repro.labeling.region.RegionAllocator.resize`
+        changed; they (and segments that have no database yet) are
+        re-indexed.  Everything else is decided from the layout: a
+        segment whose tick block cannot stay where it is (its label base
+        moved, or an in-place :meth:`~repro.labeling.region.RegionAllocator.resize`
         raises :class:`~repro.labeling.region.GapExhausted` because a
         later segment sits flush against it) is released and re-allocated
-        at its new base — the relabel.  Surviving segments only receive
-        the root-width patch when the corpus element count changed.
+        at its new base, and a clean segment among those is re-placed
+        there.  Surviving segments only receive the root-width patch when
+        the corpus element count changed.
 
-        Returns ``(segments_rebuilt, segments_relabeled)``.
+        Returns ``(segments re-indexed, segments re-placed, elements
+        re-indexed)``.
         """
         total = self.total_elements
         specs: list[ShardSpec] = []
@@ -416,8 +490,8 @@ class SegmentedCorpus:
             )
             offset += segment.element_count
             unit_position += len(segment.doc_ids)
-            for unit in self._iter_units(segment):
-                ordinals[unit.tag] = ordinals.get(unit.tag, 0) + 1
+            for tag, count in segment.unit_tags.items():
+                ordinals[tag] = ordinals.get(tag, 0) + count
 
         allocator = self.allocator
         # Pass 1: decide which tick blocks stay.  A block stays when its
@@ -453,7 +527,6 @@ class SegmentedCorpus:
             allocator.release(block)
         # Pass 2: re-allocate moved blocks left to right; each lands
         # exactly after its predecessor, restoring the dense layout.
-        relabeled = 0
         previous: TickBlock | None = None
         for segment, spec, ok in zip(self.segments, specs, stays):
             width = 2 * segment.element_count
@@ -471,37 +544,26 @@ class SegmentedCorpus:
                         f" {2 * spec.element_offset + 1}"
                     )
                 previous = segment.block
-            if (
-                id(segment) not in dirty
-                and segment.spec is not None
-                and segment.database is not None
-            ):
-                relabeled += 1
 
-        rebuilt = 0
+        reindexed = replaced = elements = 0
         root_end = 2 * total - 1
         for segment, spec in zip(self.segments, specs):
             old = segment.spec
-            needs_rebuild = (
-                segment.database is None
-                or id(segment) in dirty
-                or old is None
-                or old.element_offset != spec.element_offset
-            )
-            if needs_rebuild:
-                self._rebuild_segment(segment, spec)
-                rebuilt += 1
-            else:
-                if old.total_elements != spec.total_elements:
-                    self._patch_root_width(segment, root_end)
-                segment.spec = spec
-        self._ids = {
-            doc_id for segment in self.segments for doc_id in segment.doc_ids
-        }
-        return rebuilt, relabeled
+            if segment.database is None or old is None or id(segment) in dirty:
+                self._reindex_segment(segment, spec)
+                reindexed += 1
+                elements += spec.element_count
+            elif old.element_offset != spec.element_offset:
+                segment.database = place_shard_database(segment.database, old, spec)
+                replaced += 1
+            elif old.total_elements != spec.total_elements:
+                self._patch_root_width(segment, root_end)
+            segment.spec = spec
+        return reindexed, replaced, elements
 
-    def _rebuild_segment(self, segment: LiveSegment, spec: ShardSpec) -> None:
-        self._materialize(segment)
+    def _reindex_segment(self, segment: LiveSegment, spec: ShardSpec) -> None:
+        """Content stage plus placement for one segment's current units."""
+        segment.materialize()
         replica = Element(self.spine_tag, dict(self.root_attributes))
         if spec.index == 0:
             for value in self.root_texts:
@@ -515,16 +577,17 @@ class SegmentedCorpus:
         segment.database = build_shard_database(
             document, spec, self.scorer, self.synonyms
         )
-        segment.spec = spec
 
     def _patch_root_width(self, segment: LiveSegment, end: int) -> None:
         """Re-widen a surviving segment's root replica in place.
 
         This is the *only* in-place mutation a live reader can observe:
         the shared root ``LabeledElement`` and the columnar root row take
-        the new corpus width the moment the corpus changes size.  Every
-        derived cache (filtered-stream memos, plan caches, completions)
-        is invalidated when the new view's generation is stamped.
+        the new corpus width the moment the corpus changes size (a
+        re-placed segment, by contrast, is a new object at its new
+        base).  Every derived cache (filtered-stream memos, plan caches,
+        completions) is invalidated when the new view's generation is
+        stamped.
         """
         database = segment.database
         root_labeled = database.labeled.elements[0]
@@ -532,27 +595,18 @@ class SegmentedCorpus:
             root_labeled.region = Region(0, end, 0)
             database.streams.rewiden_root(end)
 
-    def _materialize(self, segment: LiveSegment) -> None:
-        """Give an adopted segment its own master unit copies."""
-        if segment.units is None:
-            segment.units = [
-                copy_subtree(unit)
-                for unit in segment.database.document.root.child_elements()
-            ]
-
-    def _iter_units(self, segment: LiveSegment):
-        if segment.units is not None:
-            return iter(segment.units)
-        return iter(segment.database.document.root.child_elements())
-
     def _merge_segments(self, segments: list[LiveSegment]) -> LiveSegment:
         for segment in segments:
-            self._materialize(segment)
+            segment.materialize()
         return LiveSegment(
             doc_ids=[d for segment in segments for d in segment.doc_ids],
             weights=[w for segment in segments for w in segment.weights],
             units=[u for segment in segments for u in segment.units],
         )
+
+    def _own(self, segment: LiveSegment) -> None:
+        """Point the id map at ``segment`` for every document it holds."""
+        self._owner.update(dict.fromkeys(segment.doc_ids, segment))
 
     def __repr__(self) -> str:
         return (

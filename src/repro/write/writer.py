@@ -114,8 +114,13 @@ class DocumentWriter:
             "updates": 0,
             "deletes": 0,
             "batches": 0,
+            # Content stage ran (labels + term + completion index) vs.
+            # placement only; see repro.write.segments.ApplyResult.
+            "segments_reindexed": 0,
+            "segments_replaced": 0,
+            "elements_reindexed": 0,
+            # The name the ledger's traced run reads re-index events by.
             "segments_rebuilt": 0,
-            "segments_relabeled": 0,
             "compactions": 0,
             "segments_compacted": 0,
             "compaction_failures": 0,
@@ -254,8 +259,10 @@ class DocumentWriter:
                 counters["updates"] += result.updates
                 counters["deletes"] += result.deletes
                 counters["batches"] += 1
-                counters["segments_rebuilt"] += result.segments_rebuilt
-                counters["segments_relabeled"] += result.segments_relabeled
+                counters["segments_reindexed"] += result.segments_reindexed
+                counters["segments_replaced"] += result.segments_replaced
+                counters["elements_reindexed"] += result.elements_reindexed
+                counters["segments_rebuilt"] += result.segments_reindexed
                 self._last_applied = batch[-1].seqno
                 self._progress.notify_all()
         except Exception as exc:

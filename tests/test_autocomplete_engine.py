@@ -3,6 +3,8 @@
 import pytest
 
 from repro.autocomplete.candidates import CandidateKind
+from repro.engine.database import LotusXDatabase
+from repro.shard.database import ShardedDatabase
 from repro.twig.parse import parse_twig
 from repro.twig.pattern import Axis
 
@@ -68,6 +70,21 @@ class TestTagCompletion:
     def test_k_limits(self, small_db):
         pattern = parse_twig("//article")
         assert len(small_db.complete_tag(pattern, pattern.root, "", k=2)) == 2
+
+    @pytest.mark.parametrize("shards", [1, 2], ids=["mono", "sharded"])
+    @pytest.mark.parametrize("prefix", ["b", "B", "bo"])
+    def test_global_baseline_is_case_insensitive(self, shards, prefix):
+        """The position-blind baseline lower-cases the prefix; it used to
+        prefix-search real-case trie keys with it and lose ``Book``."""
+        xml = "<Lib><Book/><book/><book/><other/></Lib>"
+        if shards == 1:
+            database = LotusXDatabase.from_string(xml)
+        else:
+            database = ShardedDatabase.from_string(xml, shards)
+        blind = database.autocomplete.complete_tag_global(prefix)
+        assert [(c.text, c.count) for c in blind] == [("book", 2), ("Book", 1)]
+        aware = database.complete_tag(None, None, prefix)
+        assert {c.text for c in aware} == {"book", "Book"}
 
 
 class TestValueCompletion:

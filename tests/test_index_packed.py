@@ -1,5 +1,6 @@
 """PackedTrie equivalence: the flat, mmap-servable completion trie must
-be observably identical to the list-node :class:`Trie` it replaces.
+be observably identical to the list-node :class:`Trie` it replaced (kept
+in ``tests/trie_oracle.py`` as the reference).
 
 The contract is exact, not approximate: ``complete`` returns the same
 top-k in the same order (descending weight, ties alphabetical),
@@ -22,7 +23,7 @@ from repro.index.packed import (
     pack_items,
     rmq_table_length,
 )
-from repro.index.trie import Trie
+from tests.trie_oracle import Trie
 
 WORDS = [
     "a", "ab", "abc", "abd", "b", "ba", "banana", "band", "bandit",

@@ -1,4 +1,4 @@
-"""Weighted trie and top-k completion, including a brute-force property."""
+"""The node-trie oracle itself: weighted top-k completion, including a brute-force property."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.trie import Trie
+from tests.trie_oracle import Trie
 
 
 @pytest.fixture()

@@ -1,16 +1,16 @@
-"""A weighted trie with top-k prefix completion.
+"""Reference implementation: a weighted node trie with top-k completion.
 
-Every inserted key carries a non-negative weight (occurrence count).  Each
-trie node caches the *maximum* weight in its subtree, which lets
-:meth:`Trie.complete` run a best-first search that touches only the
-branches that can still contribute to the top-k — the property that keeps
-LotusX completions "on-the-fly" even on large vocabularies.
+This was ``repro.index.trie`` until the completion index started packing
+its tries from counts (:class:`repro.index.packed.PackedTrie`); nothing
+under ``src/`` builds or serves one any more.  It stays here as the
+oracle the packed structure is tested against: keys are inserted one
+character at a time, every node caches the maximum weight in its subtree,
+and :meth:`Trie.complete` runs the best-first search the packed trie's
+range-maximum search must reproduce element for element.
 
-Nodes are plain three-slot lists ``[weight, best, children]`` rather than
-objects: the snapshot layer pickles completion tries wholesale, and a
-pure-container representation (lists, dicts, ints, strings) deserializes
-at C speed with no per-node Python calls — measured ~4x faster than an
-equivalent ``__slots__`` node class on real corpora.
+Nodes are plain three-slot lists ``[weight, best, children]`` — also the
+shape old (v1/v2) snapshots pickled, which
+``tests/test_index_completion_build.py`` uses to fabricate such a file.
 """
 
 from __future__ import annotations
