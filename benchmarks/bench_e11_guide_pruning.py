@@ -18,10 +18,10 @@ from __future__ import annotations
 from repro.bench.harness import print_table, time_call
 from repro.datasets import generate_treebank
 from repro.engine.database import LotusXDatabase
-from repro.twig.algorithms.common import AlgorithmStats, build_streams
-from repro.twig.algorithms.twig_stack import twig_stack_match
+from repro.twig.algorithms.common import AlgorithmStats, build_columnar_streams
 from repro.twig.match import sort_matches
 from repro.twig.parse import parse_twig
+from repro.twig.planner import Algorithm, evaluate
 
 from conftest import shape_check
 
@@ -50,26 +50,29 @@ def test_e11_guide_pruning(xmark_db, treebank_db, benchmark, capsys):
         db = xmark_db if corpus == "xmark" else treebank_db
         pattern = parse_twig(query)
 
-        plain_streams = build_streams(pattern, db.streams)
-        pruned_streams = build_streams(pattern, db.streams, db.guide)
+        plain_streams = build_columnar_streams(pattern, db.streams)
+        pruned_streams = build_columnar_streams(pattern, db.streams, db.guide)
+
+        def run(prune, stats=None, db=db, pattern=pattern):
+            return evaluate(
+                pattern,
+                db.labeled,
+                db.streams,
+                Algorithm.TWIG_STACK,
+                stats,
+                prune_streams=prune,
+            )
 
         plain_stats = AlgorithmStats()
-        plain = sort_matches(twig_stack_match(pattern, plain_streams, plain_stats))
+        plain = sort_matches(run(False, plain_stats))
         pruned_stats = AlgorithmStats()
-        pruned = sort_matches(
-            twig_stack_match(pattern, pruned_streams, pruned_stats)
-        )
+        pruned = sort_matches(run(True, pruned_stats))
         assert plain == pruned  # pruning never changes answers
 
         plain_volume = sum(len(s) for s in plain_streams.values())
         pruned_volume = sum(len(s) for s in pruned_streams.values())
-        plain_time = time_call(lambda: twig_stack_match(pattern, plain_streams))
-        pruned_time = time_call(
-            lambda: (
-                build_streams(pattern, db.streams, db.guide),
-                twig_stack_match(pattern, pruned_streams),
-            )
-        )
+        plain_time = time_call(lambda: run(False))
+        pruned_time = time_call(lambda: run(True))
         rows.append(
             [
                 corpus,
@@ -86,8 +89,12 @@ def test_e11_guide_pruning(xmark_db, treebank_db, benchmark, capsys):
 
     pattern = parse_twig(QUERIES[3][1])
     benchmark(
-        lambda: twig_stack_match(
-            pattern, build_streams(pattern, treebank_db.streams, treebank_db.guide)
+        lambda: evaluate(
+            pattern,
+            treebank_db.labeled,
+            treebank_db.streams,
+            Algorithm.TWIG_STACK,
+            prune_streams=True,
         )
     )
 

@@ -16,11 +16,7 @@ from __future__ import annotations
 
 from repro.bench.harness import print_table, time_call
 from repro.bench.workloads import XMARK_QUERIES
-from repro.twig.algorithms.common import build_streams
-from repro.twig.algorithms.naive import naive_match
-from repro.twig.algorithms.path_stack import path_stack_match
-from repro.twig.algorithms.structural_join import structural_join_match
-from repro.twig.algorithms.twig_stack import twig_stack_match
+from repro.twig.planner import Algorithm, evaluate
 
 from conftest import XMARK_SIZES, shape_check
 
@@ -28,25 +24,34 @@ from conftest import XMARK_SIZES, shape_check
 NAIVE_SIZE_CAP = XMARK_SIZES[-1]
 
 
+#: Column name per algorithm in the comparison table.
+_COLUMNS = {
+    Algorithm.NAIVE: "naive",
+    Algorithm.STRUCTURAL_JOIN: "join",
+    Algorithm.PATH_STACK: "path",
+    Algorithm.TWIG_STACK: "twig",
+}
+
+
 def _times_for(db, query, include_naive):
     pattern = query.pattern()
-    streams = build_streams(pattern, db.streams)
-    times = {
-        "join": time_call(lambda: structural_join_match(pattern, streams)),
-        "twig": time_call(lambda: twig_stack_match(pattern, streams)),
-    }
-    counts = {
-        "join": len(structural_join_match(pattern, streams)),
-        "twig": len(twig_stack_match(pattern, streams)),
-    }
+    algorithms = [Algorithm.STRUCTURAL_JOIN, Algorithm.TWIG_STACK]
     if pattern.is_path():
-        times["path"] = time_call(lambda: path_stack_match(pattern, streams))
-        counts["path"] = len(path_stack_match(pattern, streams))
+        algorithms.append(Algorithm.PATH_STACK)
     if include_naive:
-        times["naive"] = time_call(
-            lambda: naive_match(pattern, db.labeled, db.term_index), repeats=1
-        )
-        counts["naive"] = len(naive_match(pattern, db.labeled, db.term_index))
+        algorithms.append(Algorithm.NAIVE)
+    times = {}
+    counts = {}
+    for algorithm in algorithms:
+
+        def run(algorithm=algorithm):
+            return evaluate(pattern, db.labeled, db.streams, algorithm)
+
+        name = _COLUMNS[algorithm]
+        # Naive re-walks subtrees per query node: one timed run is enough.
+        repeats = 1 if algorithm is Algorithm.NAIVE else 3
+        times[name] = time_call(run, repeats=repeats)
+        counts[name] = len(run())
     assert len(set(counts.values())) == 1, f"algorithms disagree on {query.name}"
     return times, counts["twig"]
 
@@ -74,8 +79,9 @@ def test_e4_algorithm_comparison(xmark_dbs, benchmark, capsys):
     db = xmark_dbs[XMARK_SIZES[-1]]
     deep = next(q for q in XMARK_QUERIES if q.query_class == "deep-twig")
     pattern = deep.pattern()
-    streams = build_streams(pattern, db.streams)
-    benchmark(lambda: twig_stack_match(pattern, streams))
+    benchmark(
+        lambda: evaluate(pattern, db.labeled, db.streams, Algorithm.TWIG_STACK)
+    )
 
     with capsys.disabled():
         print_table(

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from repro.bench.harness import print_table
 from repro.bench.workloads import BLOWUP_QUERIES
-from repro.twig.algorithms.common import AlgorithmStats, build_streams
-from repro.twig.algorithms.structural_join import structural_join_match
-from repro.twig.algorithms.twig_stack import twig_stack_match
+from repro.twig.algorithms.common import AlgorithmStats
+from repro.twig.planner import Algorithm, evaluate
 
 from conftest import XMARK_SIZES, shape_check
 
@@ -27,12 +26,19 @@ def test_e5_intermediate_result_sizes(xmark_dbs, benchmark, capsys):
         db = xmark_dbs[size]
         for query in BLOWUP_QUERIES:
             pattern = query.pattern()
-            streams = build_streams(pattern, db.streams)
 
             join_stats = AlgorithmStats()
-            join_matches = structural_join_match(pattern, streams, join_stats)
+            join_matches = evaluate(
+                pattern,
+                db.labeled,
+                db.streams,
+                Algorithm.STRUCTURAL_JOIN,
+                join_stats,
+            )
             twig_stats = AlgorithmStats()
-            twig_matches = twig_stack_match(pattern, streams, twig_stats)
+            twig_matches = evaluate(
+                pattern, db.labeled, db.streams, Algorithm.TWIG_STACK, twig_stats
+            )
             assert len(join_matches) == len(twig_matches)
 
             ratio = join_stats.intermediate_results / max(
@@ -51,8 +57,9 @@ def test_e5_intermediate_result_sizes(xmark_dbs, benchmark, capsys):
 
     db = xmark_dbs[XMARK_SIZES[-1]]
     pattern = BLOWUP_QUERIES[0].pattern()
-    streams = build_streams(pattern, db.streams)
-    benchmark(lambda: twig_stack_match(pattern, streams))
+    benchmark(
+        lambda: evaluate(pattern, db.labeled, db.streams, Algorithm.TWIG_STACK)
+    )
 
     with capsys.disabled():
         print_table(

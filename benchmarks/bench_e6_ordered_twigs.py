@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from repro.bench.harness import print_table, time_call
 from repro.bench.workloads import ORDERED_QUERIES
-from repro.twig.algorithms.common import build_streams
-from repro.twig.algorithms.twig_stack import twig_stack_match
 from repro.twig.match import satisfies_order
+from repro.twig.planner import Algorithm, evaluate
 
 from conftest import shape_check
+
+
+def _twig_stack(db, pattern):
+    return evaluate(pattern, db.labeled, db.streams, Algorithm.TWIG_STACK)
 
 
 def test_e6_ordered_overhead(dblp_db, benchmark, capsys):
@@ -25,11 +28,14 @@ def test_e6_ordered_overhead(dblp_db, benchmark, capsys):
         ordered = query.pattern()
         ordered.ordered = True
 
-        unordered_streams = build_streams(unordered, dblp_db.streams)
-        ordered_streams = build_streams(ordered, dblp_db.streams)
+        def run_unordered():
+            return _twig_stack(dblp_db, unordered)
 
-        unordered_matches = twig_stack_match(unordered, unordered_streams)
-        ordered_matches = twig_stack_match(ordered, ordered_streams)
+        def run_ordered():
+            return _twig_stack(dblp_db, ordered)
+
+        unordered_matches = run_unordered()
+        ordered_matches = run_ordered()
 
         # Correctness: the ordered answer is exactly the order-satisfying
         # subset of the unordered answer.
@@ -40,10 +46,8 @@ def test_e6_ordered_overhead(dblp_db, benchmark, capsys):
             m.key() for m in expected
         )
 
-        unordered_time = time_call(
-            lambda: twig_stack_match(unordered, unordered_streams)
-        )
-        ordered_time = time_call(lambda: twig_stack_match(ordered, ordered_streams))
+        unordered_time = time_call(run_unordered)
+        ordered_time = time_call(run_ordered)
         overhead = (ordered_time - unordered_time) / unordered_time * 100
         rows.append(
             [
@@ -58,8 +62,7 @@ def test_e6_ordered_overhead(dblp_db, benchmark, capsys):
 
     pattern = ORDERED_QUERIES[0].pattern()
     pattern.ordered = True
-    streams = build_streams(pattern, dblp_db.streams)
-    benchmark(lambda: twig_stack_match(pattern, streams))
+    benchmark(lambda: _twig_stack(dblp_db, pattern))
 
     with capsys.disabled():
         print_table(

@@ -16,8 +16,8 @@ import time
 
 from repro import LotusXDatabase
 from repro.datasets import generate_treebank
-from repro.twig.algorithms.common import build_streams
-from repro.twig.algorithms.twig_stack import twig_stack_match
+from repro.twig.algorithms.common import build_columnar_streams
+from repro.twig.algorithms.twig_stack import twig_stack_match_columnar
 
 
 def main() -> None:
@@ -46,13 +46,15 @@ def main() -> None:
     # few of the hundreds of paths each tag occurs at.
     print("\n--- guide-pruned evaluation (same answers, less work) ---")
     pattern = database.parse_query("//sentence/S/NP/NN")
-    plain_streams = build_streams(pattern, database.streams)
-    pruned_streams = build_streams(pattern, database.streams, database.guide)
+    plain_streams = build_columnar_streams(pattern, database.streams)
+    pruned_streams = build_columnar_streams(
+        pattern, database.streams, database.guide
+    )
     started = time.perf_counter()
-    plain = twig_stack_match(pattern, plain_streams)
+    plain = twig_stack_match_columnar(pattern, plain_streams)
     plain_ms = (time.perf_counter() - started) * 1000
     started = time.perf_counter()
-    pruned = twig_stack_match(pattern, pruned_streams)
+    pruned = twig_stack_match_columnar(pattern, pruned_streams)
     pruned_ms = (time.perf_counter() - started) * 1000
     assert len(plain) == len(pruned)
     print(

@@ -269,13 +269,13 @@ class LotusXDatabase:
     def explain(self, query: str | TwigPattern) -> dict:
         """Evaluation plan and per-node stream sizes for ``query``."""
         from repro.autocomplete.context import candidate_positions
-        from repro.twig.algorithms.common import build_streams
+        from repro.twig.algorithms.common import build_columnar_streams
         from repro.twig.planner import choose_algorithm
 
         from repro.twig.estimate import estimate_cardinality
 
         pattern = self._as_pattern(query)
-        streams = build_streams(pattern, self.streams)
+        streams = build_columnar_streams(pattern, self.streams)
         positions = candidate_positions(pattern, self.guide)
         return {
             "query": str(pattern),
@@ -398,15 +398,17 @@ class LotusXDatabase:
                 self._plan_cache[key] = plan
                 if len(self._plan_cache) > self.PLAN_CACHE_SIZE:
                     self._plan_cache.popitem(last=False)
+        # Always hand the kernel a stats object: the benchmark tracer reads
+        # ``elements_scanned`` from this argument of ``execute_plan``.
         run_stats = stats if stats is not None else AlgorithmStats()
         matches = execute_plan(
             plan, self.labeled, self.streams, run_stats, deadline
         )
         with self._counter_lock:
-            if run_stats.notes.get("columnar"):
-                self.counters["columnar_evaluations"] += 1
-            else:
+            if plan.algorithm is Algorithm.NAIVE:
                 self.counters["fallback_evaluations"] += 1
+            else:
+                self.counters["columnar_evaluations"] += 1
         return matches
 
     def matches(
@@ -442,7 +444,14 @@ class LotusXDatabase:
                 if exc.partial is not None:
                     exc.partial = sort_matches(exc.partial)
                 raise
-        key = (pattern.signature(), algorithm, prune_streams)
+        # Matches are keyed by node id, so the ids belong in the key (as
+        # in the plan cache): equal signatures can number nodes differently.
+        key = (
+            pattern.signature(),
+            tuple(node.node_id for node in pattern.nodes()),
+            algorithm,
+            prune_streams,
+        )
         with self._counter_lock:
             cached = self._match_cache.get(key)
             if cached is not None:
@@ -577,7 +586,7 @@ class LotusXDatabase:
 
         pattern = self._as_pattern(query)
         plan = self.explain(pattern)
-        algorithms = [Algorithm.STRUCTURAL_JOIN, Algorithm.TWIG_STACK, Algorithm.TJFAST]
+        algorithms = [Algorithm.STRUCTURAL_JOIN, Algorithm.TWIG_STACK]
         if pattern.is_path():
             algorithms.insert(0, Algorithm.PATH_STACK)
         profiles = []
@@ -674,9 +683,7 @@ class LotusXDatabase:
             "plan_cache_entries": plan_entries,
             "parse_cache_entries": parse_entries,
             "serving_generation": self.serving_generation,
-            "columnar_enabled": (
-                factory.supports_columnar() if factory is not None else None
-            ),
+            "columnar_enabled": True if factory is not None else None,
             "autocomplete_cache": (
                 engine.cache_info() if engine is not None else None
             ),

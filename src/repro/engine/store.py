@@ -122,10 +122,9 @@ SNAPSHOT_MAGIC = b"LXSNAP"
 #: (mmap-able through ``memoryview``) and added the header digest.
 SNAPSHOT_VERSION = 3
 #: Versions :func:`load_snapshot` accepts.  Version 1 snapshots load
-#: fine — they simply have no columnar section, so the database falls
-#: back to object streams (and the factory is told not to build columnar
-#: views it was never saved with).  Version 2 snapshots load through the
-#: copying reader exactly as before (``mmap=True`` falls back).
+#: fine — they simply have no columnar section, so the database builds
+#: its columns from the labels on first use.  Version 2 snapshots load
+#: through the copying reader exactly as before (``mmap=True`` falls back).
 SUPPORTED_SNAPSHOT_VERSIONS = frozenset({1, 2, 3})
 
 #: magic(6) + version(2) + flags(2) + header length(4)
@@ -720,11 +719,11 @@ def save_snapshot(
     zpickled.append(("completion", _dumps_section(completion_dir)))
     raw_sections.append(("completion.raw", completion_ints))
     raw_sections.append(("completion.keys", completion_keys))
-    columnar = database.streams.columnar
-    if columnar is not None:
-        columnar_dir, columnar_raw = encode_columnar_raw(columnar, byteorder)
-        zpickled.append(("columnar", _dumps_section(columnar_dir)))
-        raw_sections.append(("columnar.raw", columnar_raw))
+    columnar_dir, columnar_raw = encode_columnar_raw(
+        database.streams.columnar, byteorder
+    )
+    zpickled.append(("columnar", _dumps_section(columnar_dir)))
+    raw_sections.append(("columnar.raw", columnar_raw))
 
     meta = _snapshot_meta(database, seqno, document_ids)
     meta["raw_layout"] = {
@@ -821,9 +820,9 @@ def _save_snapshot_v2(
     sections.append(
         ("completion", _dumps_section(_encode_completion(database.completion_index)))
     )
-    columnar = database.streams.columnar
-    if columnar is not None:
-        sections.append(("columnar", _dumps_section(encode_columnar(columnar))))
+    sections.append(
+        ("columnar", _dumps_section(encode_columnar(database.streams.columnar)))
+    )
 
     meta = _snapshot_meta(database, seqno, document_ids)
 
@@ -1240,9 +1239,8 @@ class _SnapshotReader:
         return blob if isinstance(blob, memoryview) else memoryview(blob)
 
 
-# Columnar sentinels: the snapshot has no columnar section at all (v1)
-# vs. it has one this platform's array layout cannot decode (rebuild).
-_ABSENT = object()
+# Columnar sentinel: the snapshot has no columnar section (v1), or one
+# this platform's array layout cannot decode — rebuild from the labels.
 _REBUILD = object()
 
 
@@ -1343,10 +1341,10 @@ class _SnapshotDatabase(LotusXDatabase):
 
     @property
     def streams(self) -> StreamFactory:
-        return self._part("streams", self._build_streams)
+        return self._part("streams", self._load_streams)
 
     def _columnar_part(self):
-        return self._part("columnar", self._build_columnar)
+        return self._part("columnar", self._load_columnar)
 
     def _columnar_elements(self, tag):
         """Element-object resolver for :class:`LazyElements` — only
@@ -1354,7 +1352,7 @@ class _SnapshotDatabase(LotusXDatabase):
         labeled = self.labeled
         return labeled.elements if tag is None else labeled.stream(tag)
 
-    def _build_columnar(self):
+    def _load_columnar(self):
         try:
             if self._reader.has("columnar.raw"):
                 index = decode_columnar_raw(
@@ -1372,19 +1370,11 @@ class _SnapshotDatabase(LotusXDatabase):
             raise SnapshotFormatError(
                 f"snapshot columnar section is inconsistent: {exc}"
             ) from exc
-        return _ABSENT
+        return _REBUILD
 
-    def _build_streams(self) -> StreamFactory:
+    def _load_streams(self) -> StreamFactory:
         columnar = self._columnar_part()
-        if columnar is _ABSENT:
-            # Pre-columnar (v1) snapshot: serve object streams only,
-            # exactly what the snapshot was saved with.
-            return StreamFactory(
-                self.labeled, self.term_index, build_columnar=False
-            )
         if columnar is _REBUILD:
-            # The writing platform's array layout doesn't map onto this
-            # one: rebuild the columns from the labels instead.
             return StreamFactory(self.labeled, self.term_index)
         return StreamFactory(self.labeled, self.term_index, columnar=columnar)
 

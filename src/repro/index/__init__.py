@@ -6,7 +6,7 @@ one tokenizing pass, the completion tries from the term index's counts.
 """
 
 from repro.index.completion_index import CompletionIndex
-from repro.index.element_index import ElementFilter, StreamCursor, StreamFactory
+from repro.index.element_index import ElementFilter, StreamFactory
 from repro.index.packed import PackedTrie
 from repro.index.statistics import CorpusStatistics, compute_statistics
 from repro.index.term_index import Posting, TermIndex
@@ -26,7 +26,6 @@ __all__ = [
     "ElementFilter",
     "PackedTrie",
     "Posting",
-    "StreamCursor",
     "StreamFactory",
     "TermIndex",
     "completion_value",

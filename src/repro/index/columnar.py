@@ -1,8 +1,8 @@
 """Columnar label streams: per-tag positional arrays with skip pointers.
 
-The twig algorithms originally iterated :class:`LabeledElement` objects
-one attribute access at a time; at corpus scale the interpreter overhead
-of those object walks dominates matching time.  This module stores the
+Iterating :class:`LabeledElement` objects one attribute access at a time
+lets interpreter overhead dominate matching time at corpus scale (E14
+measured the columnar kernels ≈4.4× faster).  This module stores the
 three region-label components (``start``/``end``/``level``) plus the
 DataGuide path id of every element in parallel ``array('q')`` columns,
 one set per tag (plus one for the wildcard stream).  The columnar twig
@@ -12,9 +12,8 @@ enter a path solution.
 
 ``path_ids`` is the columnar stand-in for the extended Dewey label: two
 elements share a path id exactly when they share their whole root-to-leaf
-tag path (the DataGuide invariant), which is the only property TJFast
-needs from the label — so the per-element tag-path decode collapses into
-a single int compare against a per-path cache.
+tag path (the DataGuide invariant), so DataGuide stream pruning is a
+single int compare per element instead of a tag-path decode.
 
 :meth:`ColumnarStream.seek_ge` is the skip pointer: galloping followed by
 binary search over the (strictly increasing) ``starts`` column, so join
@@ -419,7 +418,7 @@ def decode_columnar_raw(
 
     ``raw`` is the snapshot's raw section — a ``memoryview`` of the mmap
     (zero-copy) or of the loaded bytes.  ``elements_for(tag)`` resolves
-    the parallel object stream lazily (``None`` = wildcard); it is only
+    the parallel element list lazily (``None`` = wildcard); it is only
     called if a query materializes elements, and the row-count
     consistency check runs at that point.
 

@@ -1,17 +1,16 @@
-"""Tag streams and stream cursors for the twig-join algorithms.
+"""Candidate streams for the twig-join kernels.
 
-A *stream* is the document-ordered list of labeled elements for one query
-node: all elements with the node's tag (or every element, for a wildcard),
-optionally pre-filtered by the node's value predicate.  The holistic
-algorithms consume streams through :class:`StreamCursor`, which exposes the
-``head`` / ``advance`` / ``eof`` interface TwigStack and PathStack are
-written against.
+A *stream* is the document-ordered sequence of labeled elements for one
+query node: all elements with the node's tag (or every element, for a
+wildcard), optionally pre-filtered by the node's value predicate.  The
+kernels read streams as :class:`~repro.index.columnar.ColumnarStream`
+views over the columnar label index.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable, Hashable
 
 from repro.index.columnar import ColumnarIndex, ColumnarStream
 from repro.index.term_index import TermIndex
@@ -21,53 +20,17 @@ from repro.labeling.assign import LabeledDocument, LabeledElement
 ElementFilter = Callable[[LabeledElement], bool]
 
 
-class StreamCursor:
-    """Forward-only cursor over a document-ordered element stream."""
-
-    __slots__ = ("_items", "_pos")
-
-    def __init__(self, items: Sequence[LabeledElement]) -> None:
-        self._items = items
-        self._pos = 0
-
-    def eof(self) -> bool:
-        return self._pos >= len(self._items)
-
-    def head(self) -> LabeledElement:
-        """Current element; undefined behaviour after eof (raises)."""
-        return self._items[self._pos]
-
-    def advance(self) -> None:
-        self._pos += 1
-
-    def remaining(self) -> int:
-        return len(self._items) - self._pos
-
-    def reset(self) -> None:
-        self._pos = 0
-
-    def __repr__(self) -> str:
-        state = "eof" if self.eof() else repr(self.head())
-        return f"StreamCursor(pos={self._pos}, head={state})"
-
-
 class StreamFactory:
-    """Builds (optionally filtered) streams over a labeled document.
+    """Builds (optionally filtered) columnar streams over a labeled
+    document.
 
-    The factory serves two representations of the same streams: plain
-    ``LabeledElement`` lists (the original interface every algorithm was
-    written against) and :class:`~repro.index.columnar.ColumnarStream`
-    views for the columnar twig kernels.  The columnar index is built on
-    first use unless a prebuilt one is injected (snapshot loads) or
-    ``build_columnar=False`` disables it entirely (the object-stream
-    fallback path, e.g. for pre-columnar snapshots).
-
-    Filtered streams are memoized by ``(tag, filter key)`` so repeated
-    predicate queries reuse one scan of the shared per-tag stream instead
-    of re-filtering it on every call.
+    The columnar index is built on first use unless a prebuilt one is
+    injected (snapshot loads).  Filtered streams are memoized by
+    ``(tag, filter key)`` so repeated predicate queries reuse one scan of
+    the shared per-tag stream instead of re-filtering it on every call.
     """
 
-    #: Entries kept in the filtered-stream memo (object + columnar).
+    #: Entries kept in the filtered-stream memo.
     FILTER_CACHE_SIZE = 256
 
     def __init__(
@@ -75,84 +38,26 @@ class StreamFactory:
         labeled: LabeledDocument,
         term_index: TermIndex,
         columnar: ColumnarIndex | None = None,
-        build_columnar: bool = True,
     ) -> None:
         self._labeled = labeled
         self._term_index = term_index
         self._columnar = columnar
-        self._build_columnar = build_columnar
         self._filtered_cache: OrderedDict = OrderedDict()
 
     @property
     def term_index(self) -> TermIndex:
         return self._term_index
 
-    # ------------------------------------------------------------------
-    # Object streams
-    # ------------------------------------------------------------------
-
-    def stream(self, tag: str | None) -> list[LabeledElement]:
-        """Document-ordered elements with ``tag`` (None = wildcard: all)."""
-        if tag is None:
-            return self._labeled.elements
-        return self._labeled.stream(tag)
-
-    def filtered_stream(
-        self,
-        tag: str | None,
-        element_filter: ElementFilter | None = None,
-        key: Hashable | None = None,
-    ) -> list[LabeledElement]:
-        """Stream for ``tag`` with ``element_filter`` applied.
-
-        With ``key`` (a hashable identity for the filter, e.g. a predicate
-        signature) the filtered list is memoized; callers must treat it as
-        shared and immutable, like the unfiltered per-tag streams.
-        """
-        base = self.stream(tag)
-        if element_filter is None:
-            return base
-        if key is not None:
-            cached = self._memo_get(("object", tag, key))
-            if cached is not None:
-                return cached
-        result = [element for element in base if element_filter(element)]
-        if key is not None:
-            self._memo_put(("object", tag, key), result)
-        return result
-
-    def cursor(
-        self, tag: str | None, element_filter: ElementFilter | None = None
-    ) -> StreamCursor:
-        return StreamCursor(self.filtered_stream(tag, element_filter))
-
-    # ------------------------------------------------------------------
-    # Columnar streams
-    # ------------------------------------------------------------------
-
-    def supports_columnar(self) -> bool:
-        """Whether columnar views are available (or can be built)."""
-        return self._columnar is not None or self._build_columnar
-
     @property
-    def columnar(self) -> ColumnarIndex | None:
-        """The columnar index, built on first access when enabled."""
-        if self._columnar is None and self._build_columnar:
+    def columnar(self) -> ColumnarIndex:
+        """The columnar index, built on first access."""
+        if self._columnar is None:
             self._columnar = ColumnarIndex.from_labeled(self._labeled)
         return self._columnar
 
     def columnar_stream(self, tag: str | None) -> ColumnarStream:
-        """Columnar view of the (unfiltered) stream for ``tag``.
-
-        Raises
-        ------
-        RuntimeError
-            If this factory has columnar support disabled.
-        """
-        index = self.columnar
-        if index is None:
-            raise RuntimeError("this StreamFactory has no columnar index")
-        return index.stream(tag)
+        """Columnar view of the (unfiltered) stream for ``tag``."""
+        return self.columnar.stream(tag)
 
     def filtered_columnar_stream(
         self,
@@ -160,15 +65,19 @@ class StreamFactory:
         element_filter: ElementFilter,
         key: Hashable | None = None,
     ) -> ColumnarStream:
-        """Columnar view for ``tag`` restricted by ``element_filter``,
-        memoized under ``key`` exactly like :meth:`filtered_stream`."""
+        """Columnar view for ``tag`` restricted by ``element_filter``.
+
+        With ``key`` (a hashable identity for the filter, e.g. a predicate
+        signature) the filtered view is memoized; callers must treat it as
+        shared and immutable, like the unfiltered per-tag streams.
+        """
         if key is not None:
-            cached = self._memo_get(("columnar", tag, key))
+            cached = self._memo_get((tag, key))
             if cached is not None:
                 return cached
         result = self.columnar_stream(tag).where(element_filter)
         if key is not None:
-            self._memo_put(("columnar", tag, key), result)
+            self._memo_put((tag, key), result)
         return result
 
     # ------------------------------------------------------------------
@@ -189,11 +98,10 @@ class StreamFactory:
         """Propagate a mutated root-region width into columnar columns.
 
         The live write path re-widens the corpus root's region when the
-        corpus grows or shrinks; object streams read the (shared)
-        ``LabeledElement`` and see the change for free, but a built
-        columnar index holds the root's ``end`` as a raw integer and
-        must be patched in place.  A not-yet-built columnar index needs
-        nothing — it will read the patched region when first built.
+        corpus grows or shrinks; a built columnar index holds the root's
+        ``end`` as a raw integer and must be patched in place.  A
+        not-yet-built columnar index needs nothing — it will read the
+        patched region when first built.
         """
         if self._columnar is not None:
             self._columnar.rewiden_root(self._labeled.document.root.tag, end)

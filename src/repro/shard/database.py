@@ -503,7 +503,14 @@ class ShardedDatabase:
                     site="shard.scatter", partial=merged
                 )
             return merged
-        key = (pattern.signature(), algorithm, prune_streams)
+        # Matches are keyed by node id, so the ids belong in the key:
+        # equal signatures can number nodes differently.
+        key = (
+            pattern.signature(),
+            tuple(node.node_id for node in pattern.nodes()),
+            algorithm,
+            prune_streams,
+        )
         with self._lock:
             cached = self._match_cache.get(key)
             if cached is not None:

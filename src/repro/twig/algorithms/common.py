@@ -1,10 +1,11 @@
 """Shared plumbing for the twig-matching algorithms.
 
-Every algorithm takes the same inputs — a pattern and per-query-node
-element streams — and produces :class:`~repro.twig.match.Match` objects,
-so they are interchangeable and cross-checkable.  This module builds the
-streams (applying tag, predicate, and root-pinning filters) and defines the
-statistics counters the benchmarks read.
+Every stream kernel takes the same inputs — a pattern and per-query-node
+:class:`~repro.index.columnar.ColumnarStream` views — and produces
+:class:`~repro.twig.match.Match` objects, so the kernels are
+interchangeable and cross-checkable against the naive oracle.  This module
+builds the views (applying tag, predicate, root-pinning and DataGuide
+filters) and defines the statistics counters the benchmarks read.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from repro.resilience.errors import DeadlineExceeded
 from repro.twig.algorithms.ordered import PartialCheck
 from repro.twig.match import Match, satisfies_order
 from repro.twig.pattern import Axis, QueryNode, TwigPattern
-
-#: Virtual "start position" of an exhausted stream; larger than any label.
-INFINITY = float("inf")
 
 #: Fresh step budget granted to best-effort partial-result salvage after a
 #: deadline trip: enough to merge modest state, small enough to stay well
@@ -57,17 +55,19 @@ class AlgorithmStats:
     notes: dict[str, int] = field(default_factory=dict)
 
 
-def build_streams(
+def build_columnar_streams(
     pattern: TwigPattern,
     factory: StreamFactory,
     guide=None,
     deadline: Deadline | None = None,
-) -> dict[int, list[LabeledElement]]:
-    """Document-ordered candidate stream per query node.
+) -> dict[int, ColumnarStream]:
+    """Document-ordered candidate stream per query node, as a
+    :class:`~repro.index.columnar.ColumnarStream` view.
 
-    Applies the node's tag, compiles its value predicate into a filter, and
-    pins the root stream to the document root element when the pattern's
-    root axis is CHILD.
+    Applies the node's tag, compiles its value predicate into a filter
+    (memoized in the factory by ``(tag, predicate signature)``), and pins
+    the root stream to the document root element when the pattern's root
+    axis is CHILD.
 
     With ``guide`` (a :class:`~repro.summary.dataguide.DataGuide`), streams
     are additionally pruned to the node's *candidate positions* — the
@@ -84,64 +84,10 @@ def build_streams(
         from repro.autocomplete.context import candidate_positions
 
         positions = candidate_positions(pattern, guide)
-    streams: dict[int, list[LabeledElement]] = {}
+    views: dict[int, ColumnarStream] = {}
     for node in pattern.nodes():
         if deadline is not None:
-            deadline.check("twig.build_streams")
-        predicate = node.predicate
-        if predicate is None:
-            stream = factory.stream(node.tag)
-        elif deadline is None:
-            stream = factory.filtered_stream(
-                node.tag,
-                lambda el, p=predicate: p.matches(el, term_index),
-                key=predicate.signature(),
-            )
-        else:
-            # Predicate streams scan every same-tag element, so the
-            # per-element filter is itself a cooperative checkpoint (a
-            # memo hit skips the scan — and its checkpoints — entirely).
-            def checked_filter(el, p=predicate):
-                deadline.check("twig.build_streams.filter")
-                return p.matches(el, term_index)
-
-            stream = factory.filtered_stream(
-                node.tag, checked_filter, key=predicate.signature()
-            )
-        if node.is_root and node.axis is Axis.CHILD:
-            stream = [el for el in stream if el.level == 0]
-        if positions is not None:
-            allowed = {p.node_id for p in positions[node.node_id]}
-            stream = [el for el in stream if el.path_node.node_id in allowed]
-        streams[node.node_id] = stream
-    return streams
-
-
-def build_columnar_streams(
-    pattern: TwigPattern,
-    factory: StreamFactory,
-    guide=None,
-    deadline: Deadline | None = None,
-) -> dict[int, "ColumnarStream"]:
-    """Columnar candidate stream per query node.
-
-    The exact counterpart of :func:`build_streams` — same tag selection,
-    predicate filters, root pinning, and DataGuide pruning, same
-    ``twig.build_streams`` deadline checkpoints — but each node gets a
-    :class:`~repro.index.columnar.ColumnarStream` view for the columnar
-    twig kernels.  Predicate-filtered views are memoized in the factory
-    by ``(tag, predicate signature)`` alongside their object twins.
-    """
-    term_index = factory.term_index
-    positions = None
-    if guide is not None:
-        from repro.autocomplete.context import candidate_positions
-
-        positions = candidate_positions(pattern, guide)
-    views: dict[int, "ColumnarStream"] = {}
-    for node in pattern.nodes():
-        if deadline is not None:
-            deadline.check("twig.build_streams")
+            deadline.check("twig.streams")
         predicate = node.predicate
         if predicate is None:
             view = factory.columnar_stream(node.tag)
@@ -152,9 +98,11 @@ def build_columnar_streams(
                 key=predicate.signature(),
             )
         else:
-
+            # Predicate streams scan every same-tag element, so the
+            # per-element filter is itself a cooperative checkpoint (a
+            # memo hit skips the scan — and its checkpoints — entirely).
             def checked_filter(el, p=predicate):
-                deadline.check("twig.build_streams.filter")
+                deadline.check("twig.streams.filter")
                 return p.matches(el, term_index)
 
             view = factory.filtered_columnar_stream(
@@ -171,15 +119,6 @@ def build_columnar_streams(
             )
         views[node.node_id] = view
     return views
-
-
-def edge_satisfied(
-    ancestor: LabeledElement, descendant: LabeledElement, axis: Axis
-) -> bool:
-    """Does (ancestor, descendant) satisfy a query edge with ``axis``?"""
-    if axis is Axis.CHILD:
-        return ancestor.region.is_parent_of(descendant.region)
-    return ancestor.region.is_ancestor_of(descendant.region)
 
 
 def filter_ordered(pattern: TwigPattern, matches: list[Match]) -> list[Match]:

@@ -16,116 +16,9 @@ from repro.index.columnar import INF_INT, ColumnarStream
 from repro.labeling.assign import LabeledElement
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import DeadlineExceeded
-from repro.twig.algorithms.common import (
-    AlgorithmStats,
-    edge_satisfied,
-    filter_ordered,
-)
+from repro.twig.algorithms.common import AlgorithmStats, filter_ordered
 from repro.twig.match import Match
 from repro.twig.pattern import Axis, QueryNode, TwigPattern
-
-_StackEntry = tuple[LabeledElement, int]
-
-
-def path_stack_match(
-    pattern: TwigPattern,
-    streams: dict[int, list[LabeledElement]],
-    stats: AlgorithmStats | None = None,
-    deadline: Deadline | None = None,
-) -> list[Match]:
-    """All matches of a *linear* ``pattern`` (every node ≤ 1 child).
-
-    With a ``deadline``, the stream loop checks it cooperatively; on
-    expiry the raised :class:`DeadlineExceeded` carries the matches
-    enumerated so far as its ``partial``.
-
-    Raises
-    ------
-    ValueError
-        If the pattern is not a path.
-    """
-    if not pattern.is_path():
-        raise ValueError("PathStack requires a linear path pattern")
-    stats = stats if stats is not None else AlgorithmStats()
-
-    # Pattern nodes root -> leaf.
-    chain: list[QueryNode] = []
-    node: QueryNode | None = pattern.root
-    while node is not None:
-        chain.append(node)
-        node = node.children[0] if node.children else None
-    leaf = chain[-1]
-
-    positions = {n.node_id: 0 for n in chain}
-    stacks: dict[int, list[_StackEntry]] = {n.node_id: [] for n in chain}
-    matches: list[Match] = []
-
-    def head(n: QueryNode) -> LabeledElement | None:
-        items = streams[n.node_id]
-        pos = positions[n.node_id]
-        return items[pos] if pos < len(items) else None
-
-    def emit_solutions() -> None:
-        """Enumerate chains ending at the just-pushed leaf entry."""
-        leaf_entry = stacks[leaf.node_id][-1]
-
-        def ascend(
-            level: int, below: LabeledElement, max_index: int, acc: dict[int, LabeledElement]
-        ) -> None:
-            if level < 0:
-                matches.append(Match(acc))
-                stats.intermediate_results += 1
-                return
-            qnode = chain[level]
-            child_axis = chain[level + 1].axis
-            stack = stacks[qnode.node_id]
-            for index in range(min(max_index, len(stack) - 1), -1, -1):
-                element, pointer = stack[index]
-                if edge_satisfied(element, below, child_axis):
-                    acc[qnode.node_id] = element
-                    ascend(level - 1, element, pointer, acc)
-                    del acc[qnode.node_id]
-
-        acc = {leaf.node_id: leaf_entry[0]}
-        if len(chain) == 1:
-            matches.append(Match(acc))
-            stats.intermediate_results += 1
-        else:
-            ascend(len(chain) - 2, leaf_entry[0], leaf_entry[1], acc)
-
-    while head(leaf) is not None:
-        if deadline is not None:
-            try:
-                deadline.check("twig.path_stack")
-            except DeadlineExceeded as exc:
-                if exc.partial is None:
-                    exc.partial = filter_ordered(pattern, matches)
-                raise
-        # The node whose head element starts earliest in the document.
-        q_min = min(
-            (n for n in chain if head(n) is not None),
-            key=lambda n: head(n).region.start,  # type: ignore[union-attr]
-        )
-        current = head(q_min)
-        assert current is not None
-        # Expired stack entries can be cleaned on every stack.
-        for n in chain:
-            stack = stacks[n.node_id]
-            while stack and stack[-1][0].region.end < current.region.start:
-                stack.pop()
-        parent = q_min.parent
-        if parent is None or stacks[parent.node_id]:
-            pointer = len(stacks[parent.node_id]) - 1 if parent is not None else -1
-            stacks[q_min.node_id].append((current, pointer))
-            if q_min is leaf:
-                emit_solutions()
-                stacks[q_min.node_id].pop()
-        positions[q_min.node_id] += 1
-        stats.elements_scanned += 1
-
-    matches = filter_ordered(pattern, matches)
-    stats.matches = len(matches)
-    return matches
 
 
 def _combos_up(
@@ -193,8 +86,12 @@ def path_stack_match_columnar(
     stats: AlgorithmStats | None = None,
     deadline: Deadline | None = None,
 ) -> list[Match]:
-    """PathStack over columnar views — same answers as
-    :func:`path_stack_match`, differentially tested against it.
+    """All matches of a *linear* ``pattern`` (every node ≤ 1 child) over
+    columnar ``views``.
+
+    With a ``deadline``, the stream loop checks it cooperatively; on
+    expiry the raised :class:`DeadlineExceeded` carries the matches
+    enumerated so far as its ``partial``.
 
     All per-iteration work (global-minimum head selection, stack
     cleaning, push decisions) runs on raw label ints indexed by chain

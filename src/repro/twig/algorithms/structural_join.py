@@ -24,51 +24,6 @@ from repro.twig.pattern import Axis, QueryNode, TwigPattern
 Pair = tuple[LabeledElement, LabeledElement]
 
 
-def structural_join_pairs(
-    ancestors: list[LabeledElement],
-    descendants: list[LabeledElement],
-    axis: Axis,
-    stats: AlgorithmStats | None = None,
-    deadline: Deadline | None = None,
-) -> list[Pair]:
-    """All (ancestor, descendant) pairs satisfying ``axis``.
-
-    Single merge pass over the two document-ordered streams with a stack of
-    open ancestors (Stack-Tree-Desc): O(|A| + |D| + output).
-    """
-    pairs: list[Pair] = []
-    stack: list[LabeledElement] = []
-    a_index = 0
-    for descendant in descendants:
-        if deadline is not None:
-            deadline.check("twig.structural_join")
-        # Push every ancestor-stream element that starts before this
-        # descendant; the stack keeps only elements still open here.
-        while a_index < len(ancestors) and (
-            ancestors[a_index].region.start < descendant.region.start
-        ):
-            candidate = ancestors[a_index]
-            a_index += 1
-            while stack and stack[-1].region.end < candidate.region.start:
-                stack.pop()
-            stack.append(candidate)
-        while stack and stack[-1].region.end < descendant.region.start:
-            stack.pop()
-        if axis is Axis.DESCENDANT:
-            pairs.extend((ancestor, descendant) for ancestor in stack)
-        else:
-            target_level = descendant.region.level - 1
-            pairs.extend(
-                (ancestor, descendant)
-                for ancestor in stack
-                if ancestor.region.level == target_level
-            )
-    if stats is not None:
-        stats.elements_scanned += len(ancestors) + len(descendants)
-        stats.intermediate_results += len(pairs)
-    return pairs
-
-
 def structural_join_pairs_columnar(
     ancestors: ColumnarStream,
     descendants: ColumnarStream,
@@ -76,8 +31,10 @@ def structural_join_pairs_columnar(
     stats: AlgorithmStats | None = None,
     deadline: Deadline | None = None,
 ) -> list[Pair]:
-    """Columnar Stack-Tree-Desc — same pairs as
-    :func:`structural_join_pairs`, comparing raw label ints.
+    """All (ancestor, descendant) pairs satisfying ``axis``.
+
+    Single merge pass over the two document-ordered streams with a stack
+    of open ancestors (Stack-Tree-Desc), comparing raw label ints.
 
     The stack holds ancestor *positions*; elements materialize only when
     a pair is emitted.  When the stack empties, no ancestor starting
@@ -138,9 +95,9 @@ def structural_join_pairs_columnar(
     return pairs
 
 
-def structural_join_match(
+def structural_join_match_columnar(
     pattern: TwigPattern,
-    streams: dict[int, list[LabeledElement]],
+    views: dict[int, ColumnarStream],
     stats: AlgorithmStats | None = None,
     reorder: bool = False,
     deadline: Deadline | None = None,
@@ -154,57 +111,6 @@ def structural_join_match(
     set, always take the one whose child stream is smallest, so selective
     branches cut the partials down before wide branches multiply them
     (the join-ordering ablation measures the effect).
-    """
-    stats = stats if stats is not None else AlgorithmStats()
-
-    partials: list[dict[int, LabeledElement]] = [
-        {pattern.root.node_id: element} for element in streams[pattern.root.node_id]
-    ]
-
-    def extend_with_edge(parent: QueryNode, child: QueryNode) -> None:
-        nonlocal partials
-        pairs = structural_join_pairs(
-            streams[parent.node_id],
-            streams[child.node_id],
-            child.axis,
-            stats,
-            deadline,
-        )
-        by_parent: dict[int, list[LabeledElement]] = {}
-        for ancestor, descendant in pairs:
-            by_parent.setdefault(ancestor.order, []).append(descendant)
-        extended: list[dict[int, LabeledElement]] = []
-        for partial in partials:
-            if deadline is not None:
-                deadline.check("twig.structural_join")
-            anchor = partial[parent.node_id]
-            for descendant in by_parent.get(anchor.order, ()):
-                grown = dict(partial)
-                grown[child.node_id] = descendant
-                extended.append(grown)
-        partials = extended
-        stats.intermediate_results += len(partials)
-
-    for parent, child in _edge_plan(pattern, streams, reorder):
-        extend_with_edge(parent, child)
-
-    matches = filter_ordered(pattern, [Match(partial) for partial in partials])
-    stats.matches = len(matches)
-    return matches
-
-
-def structural_join_match_columnar(
-    pattern: TwigPattern,
-    views: dict[int, ColumnarStream],
-    stats: AlgorithmStats | None = None,
-    reorder: bool = False,
-    deadline: Deadline | None = None,
-) -> list[Match]:
-    """Twig matching via columnar per-edge structural joins.
-
-    Identical stitching to :func:`structural_join_match` (the partial
-    dicts hold :class:`LabeledElement` objects either way); only the
-    per-edge pair enumeration runs on the columnar kernels.
     """
     stats = stats if stats is not None else AlgorithmStats()
 
@@ -247,7 +153,7 @@ def structural_join_match_columnar(
 
 def _edge_plan(
     pattern: TwigPattern,
-    streams: dict[int, list[LabeledElement]] | dict[int, ColumnarStream],
+    streams: dict[int, ColumnarStream],
     reorder: bool,
 ) -> list[tuple[QueryNode, QueryNode]]:
     """The order in which edges extend the partial matches.

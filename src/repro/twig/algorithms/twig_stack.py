@@ -17,213 +17,19 @@ during path-solution enumeration, so no false match survives.
 from __future__ import annotations
 
 from repro.index.columnar import INF_INT, ColumnarStream
-from repro.labeling.assign import LabeledElement
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import DeadlineExceeded
 from repro.twig.algorithms.common import (
-    INFINITY,
     AlgorithmStats,
-    edge_satisfied,
+    PathSolution,
     filter_ordered,
+    merge_path_solutions,
     root_to_node_path,
     salvage,
 )
-from repro.twig.algorithms.common import merge_path_solutions
 from repro.twig.algorithms.ordered import build_partial_order_check
 from repro.twig.match import Match
 from repro.twig.pattern import Axis, QueryNode, TwigPattern
-
-#: A stack entry: the element plus the index of the top of the parent
-#: node's stack at push time (-1 when the parent stack was empty / root).
-_StackEntry = tuple[LabeledElement, int]
-
-PathSolution = dict[int, LabeledElement]
-
-
-class _NodeState:
-    """Cursor + stack for one query node."""
-
-    __slots__ = ("node", "items", "pos", "stack")
-
-    def __init__(self, node: QueryNode, items: list[LabeledElement]) -> None:
-        self.node = node
-        self.items = items
-        self.pos = 0
-        self.stack: list[_StackEntry] = []
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.items)
-
-    def head(self) -> LabeledElement | None:
-        if self.eof():
-            return None
-        return self.items[self.pos]
-
-    def next_left(self) -> float:
-        head = self.head()
-        return INFINITY if head is None else head.region.start
-
-    def next_right(self) -> float:
-        head = self.head()
-        return INFINITY if head is None else head.region.end
-
-    def advance(self) -> None:
-        if not self.eof():
-            self.pos += 1
-
-    def clean_stack(self, act_left: float) -> None:
-        """Pop stack entries that end before ``act_left`` (no longer open)."""
-        while self.stack and self.stack[-1][0].region.end < act_left:
-            self.stack.pop()
-
-
-def twig_stack_match(
-    pattern: TwigPattern,
-    streams: dict[int, list[LabeledElement]],
-    stats: AlgorithmStats | None = None,
-    deadline: Deadline | None = None,
-) -> list[Match]:
-    """All matches of ``pattern`` over ``streams`` via TwigStack.
-
-    With a ``deadline``, the main loop checks it cooperatively; on expiry
-    the raised :class:`DeadlineExceeded` carries the matches mergeable
-    from the path solutions gathered so far as its ``partial``.
-    """
-    stats = stats if stats is not None else AlgorithmStats()
-    states: dict[int, _NodeState] = {
-        node.node_id: _NodeState(node, streams[node.node_id])
-        for node in pattern.nodes()
-    }
-    leaves = pattern.leaves()
-    path_solutions: dict[int, list[PathSolution]] = {
-        leaf.node_id: [] for leaf in leaves
-    }
-
-    def state(node: QueryNode) -> _NodeState:
-        return states[node.node_id]
-
-    # ------------------------------------------------------------------
-    # getNext
-    # ------------------------------------------------------------------
-
-    def get_next(q: QueryNode) -> QueryNode:
-        if q.is_leaf:
-            return q
-        for child in q.children:
-            result = get_next(child)
-            if result is not child and not state(result).eof():
-                return result
-            # An exhausted descendant branch contributes nextL = INFINITY
-            # below; bubbling it up would starve the other branches (their
-            # leaves may still have elements whose path solutions must be
-            # emitted to merge with solutions already collected here).
-        n_min = min(q.children, key=lambda c: state(c).next_left())
-        n_max = max(q.children, key=lambda c: state(c).next_left())
-        q_state = state(q)
-        while q_state.next_right() < state(n_max).next_left():
-            q_state.advance()
-            stats.elements_scanned += 1
-        if q_state.next_left() < state(n_min).next_left():
-            return q
-        return n_min
-
-    # ------------------------------------------------------------------
-    # Path-solution emission
-    # ------------------------------------------------------------------
-
-    def emit_path_solutions(leaf: QueryNode) -> None:
-        """Enumerate root-to-leaf solutions ending at the just-pushed leaf
-        stack entry, enforcing each edge's axis."""
-        path = root_to_node_path(leaf)
-        leaf_entry = state(leaf).stack[-1]
-        solutions = path_solutions[leaf.node_id]
-
-        def ascend(
-            level: int, below: LabeledElement, max_index: int, acc: PathSolution
-        ) -> None:
-            if level < 0:
-                solutions.append(dict(acc))
-                stats.intermediate_results += 1
-                return
-            qnode = path[level]
-            child_axis = path[level + 1].axis
-            node_stack = state(qnode).stack
-            for index in range(min(max_index, len(node_stack) - 1), -1, -1):
-                element, pointer = node_stack[index]
-                if edge_satisfied(element, below, child_axis):
-                    acc[qnode.node_id] = element
-                    ascend(level - 1, element, pointer, acc)
-                    del acc[qnode.node_id]
-
-        acc: PathSolution = {leaf.node_id: leaf_entry[0]}
-        if len(path) == 1:
-            solutions.append(dict(acc))
-            stats.intermediate_results += 1
-        else:
-            ascend(len(path) - 2, leaf_entry[0], leaf_entry[1], acc)
-
-    # ------------------------------------------------------------------
-    # Merge (shared by the complete and the salvage paths)
-    # ------------------------------------------------------------------
-
-    def finish(merge_deadline: Deadline | None) -> list[Match]:
-        merged = merge_path_solutions(
-            pattern,
-            leaves,
-            path_solutions,
-            build_partial_order_check(pattern),
-            merge_deadline,
-        )
-        return filter_ordered(pattern, merged)
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
-
-    root = pattern.root
-    try:
-        while any(not state(leaf).eof() for leaf in leaves):
-            if deadline is not None:
-                deadline.check("twig.twig_stack")
-            q = get_next(root)
-            q_state = state(q)
-            if q_state.eof():
-                # Only reachable when every productive stream is drained; no
-                # further solutions can form.
-                break
-            parent_state = state(q.parent) if q.parent is not None else None
-            if parent_state is not None:
-                parent_state.clean_stack(q_state.next_left())
-            if parent_state is None or parent_state.stack:
-                q_state.clean_stack(q_state.next_left())
-                pointer = len(parent_state.stack) - 1 if parent_state else -1
-                head = q_state.head()
-                assert head is not None
-                q_state.stack.append((head, pointer))
-                q_state.advance()
-                stats.elements_scanned += 1
-                if q.is_leaf:
-                    emit_path_solutions(q)
-                    q_state.stack.pop()
-            else:
-                q_state.advance()
-                stats.elements_scanned += 1
-        matches = finish(deadline)
-    except DeadlineExceeded as exc:
-        if exc.partial is None:
-            # Best-effort salvage: merge what was gathered, under a small
-            # fresh budget so the salvage itself stays bounded.
-            exc.partial = salvage(finish)
-        raise
-
-    stats.matches = len(matches)
-    return matches
-
-
-# ======================================================================
-# Columnar kernel
-# ======================================================================
-
 
 class _ColumnarNodeState:
     """Cursor + stack for one query node over a columnar view.
@@ -327,8 +133,12 @@ def twig_stack_match_columnar(
     stats: AlgorithmStats | None = None,
     deadline: Deadline | None = None,
 ) -> list[Match]:
-    """TwigStack over columnar views — same answers as
-    :func:`twig_stack_match`, differentially tested against it.
+    """All matches of ``pattern`` over columnar ``views`` via TwigStack —
+    differentially tested against :func:`~repro.twig.algorithms.naive.naive_match`.
+
+    With a ``deadline``, the main loop checks it cooperatively; on expiry
+    the raised :class:`DeadlineExceeded` carries the matches mergeable
+    from the path solutions gathered so far as its ``partial``.
 
     Two things make this kernel fast: all structural comparisons are raw
     int reads from the label columns (no ``LabeledElement`` attribute
@@ -370,8 +180,7 @@ def twig_stack_match_columnar(
         ]
 
     # ------------------------------------------------------------------
-    # getNext (same recursion as the object kernel, on states, int
-    # comparisons, no per-call attribute chains)
+    # getNext (int comparisons on states, no per-call attribute chains)
     # ------------------------------------------------------------------
 
     scanned = 0
@@ -390,6 +199,9 @@ def twig_stack_match_columnar(
                 result = get_next(child_state)
                 if result is not child_state and result.pos < result.n:
                     return result
+                # An exhausted descendant branch contributes nextL = INF
+                # below; bubbling it up would starve the other branches
+                # (their leaves may still have path solutions to emit).
             child_pos = child_state.pos
             left = (
                 child_state.starts[child_pos]
@@ -421,13 +233,13 @@ def twig_stack_match_columnar(
     def finish(merge_deadline: Deadline | None) -> list[Match]:
         if pattern.ordered or pattern.order_constraints:
             # Order constraints prune *during* the join (see
-            # merge_path_solutions); take the object-solution route so the
-            # shared pruning logic applies unchanged.
-            object_solutions: dict[int, list[PathSolution]] = {}
+            # merge_path_solutions); materialize element-dict solutions so
+            # the shared pruning logic applies unchanged.
+            element_solutions: dict[int, list[PathSolution]] = {}
             for leaf in leaves:
                 ids = [n.node_id for n in leaf_paths[leaf.node_id]]
                 element_columns = [states[nid].view.elements for nid in ids]
-                object_solutions[leaf.node_id] = [
+                element_solutions[leaf.node_id] = [
                     {
                         nid: column[index]
                         for nid, column, index in zip(ids, element_columns, sol)
@@ -437,7 +249,7 @@ def twig_stack_match_columnar(
             merged = merge_path_solutions(
                 pattern,
                 leaves,
-                object_solutions,
+                element_solutions,
                 build_partial_order_check(pattern),
                 merge_deadline,
             )

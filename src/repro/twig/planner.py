@@ -8,8 +8,7 @@ the benchmarks and the cross-checking tests do.
 Evaluation is split into two phases so the engine can cache the first:
 
 * :func:`compile_plan` resolves the algorithm, validates the pattern,
-  and builds the per-node candidate streams (columnar views when the
-  factory supports them, object lists otherwise) into an immutable
+  and builds the per-node columnar candidate streams into an immutable
   :class:`CompiledPlan`;
 * :func:`execute_plan` runs the matching kernel over those streams.
 
@@ -26,27 +25,13 @@ import enum
 
 from repro.index.columnar import ColumnarStream
 from repro.index.element_index import StreamFactory
-from repro.labeling.assign import LabeledDocument, LabeledElement
+from repro.labeling.assign import LabeledDocument
 from repro.resilience.deadline import Deadline
-from repro.twig.algorithms.common import (
-    AlgorithmStats,
-    build_columnar_streams,
-    build_streams,
-)
+from repro.twig.algorithms.common import AlgorithmStats, build_columnar_streams
 from repro.twig.algorithms.naive import naive_match
-from repro.twig.algorithms.path_stack import (
-    path_stack_match,
-    path_stack_match_columnar,
-)
-from repro.twig.algorithms.structural_join import (
-    structural_join_match,
-    structural_join_match_columnar,
-)
-from repro.twig.algorithms.tjfast import tjfast_match, tjfast_match_columnar
-from repro.twig.algorithms.twig_stack import (
-    twig_stack_match,
-    twig_stack_match_columnar,
-)
+from repro.twig.algorithms.path_stack import path_stack_match_columnar
+from repro.twig.algorithms.structural_join import structural_join_match_columnar
+from repro.twig.algorithms.twig_stack import twig_stack_match_columnar
 from repro.twig.match import Match
 from repro.twig.pattern import TwigPattern
 
@@ -59,7 +44,6 @@ class Algorithm(enum.Enum):
     STRUCTURAL_JOIN = "structural-join"
     PATH_STACK = "path-stack"
     TWIG_STACK = "twig-stack"
-    TJFAST = "tjfast"
 
 
 def choose_algorithm(pattern: TwigPattern) -> Algorithm:
@@ -76,10 +60,7 @@ class CompiledPlan:
 
     * ``"columnar"`` — ``views`` holds per-node
       :class:`~repro.index.columnar.ColumnarStream` views for the
-      columnar kernels;
-    * ``"object"`` — ``streams`` holds the per-node element lists the
-      original kernels consume (the fallback when the factory has no
-      columnar index, e.g. pre-columnar snapshots);
+      stream kernels;
     * ``"naive"`` — no streams; the oracle walks the document directly;
     * ``"optional"`` — ``inner`` is the compiled plan of the required
       skeleton; optional nodes are grafted on after execution.
@@ -93,7 +74,6 @@ class CompiledPlan:
         "pattern",
         "algorithm",
         "prune_streams",
-        "streams",
         "views",
         "inner",
     )
@@ -104,7 +84,6 @@ class CompiledPlan:
         pattern: TwigPattern,
         algorithm: Algorithm,
         prune_streams: bool,
-        streams: dict[int, list[LabeledElement]] | None = None,
         views: dict[int, ColumnarStream] | None = None,
         inner: CompiledPlan | None = None,
     ) -> None:
@@ -112,7 +91,6 @@ class CompiledPlan:
         self.pattern = pattern
         self.algorithm = algorithm
         self.prune_streams = prune_streams
-        self.streams = streams
         self.views = views
         self.inner = inner
 
@@ -130,20 +108,15 @@ def compile_plan(
     algorithm: Algorithm = Algorithm.AUTO,
     prune_streams: bool = False,
     deadline: Deadline | None = None,
-    use_columnar: bool | None = None,
 ) -> CompiledPlan:
     """Resolve the algorithm and build the candidate streams for
     ``pattern``.
 
-    ``use_columnar`` defaults to whatever the factory supports; pass
-    ``False`` to force the object-stream kernels (the cross-check tests
-    compare the two).  Stream building checks ``deadline`` at the same
-    ``twig.build_streams`` checkpoints as before the split.
+    Stream building checks ``deadline`` at the ``twig.streams``
+    checkpoints.
     """
     if algorithm is Algorithm.AUTO:
         algorithm = choose_algorithm(pattern)
-    if use_columnar is None:
-        use_columnar = factory.supports_columnar()
     if pattern.has_optional():
         from repro.twig.optional import validate_optional_pattern
 
@@ -155,7 +128,6 @@ def compile_plan(
             algorithm,
             prune_streams,
             deadline,
-            use_columnar,
         )
         return CompiledPlan(
             "optional", pattern, algorithm, prune_streams, inner=inner
@@ -163,15 +135,8 @@ def compile_plan(
     if algorithm is Algorithm.NAIVE:
         return CompiledPlan("naive", pattern, algorithm, prune_streams)
     guide = labeled.guide if prune_streams else None
-    if use_columnar:
-        views = build_columnar_streams(pattern, factory, guide, deadline)
-        return CompiledPlan(
-            "columnar", pattern, algorithm, prune_streams, views=views
-        )
-    streams = build_streams(pattern, factory, guide, deadline)
-    return CompiledPlan(
-        "object", pattern, algorithm, prune_streams, streams=streams
-    )
+    views = build_columnar_streams(pattern, factory, guide, deadline)
+    return CompiledPlan("columnar", pattern, algorithm, prune_streams, views=views)
 
 
 def execute_plan(
@@ -188,9 +153,6 @@ def execute_plan(
     :class:`~repro.resilience.errors.DeadlineExceeded` is raised, with
     whatever well-formed partial matches could be salvaged attached as
     its ``partial``.
-
-    When ``stats`` is supplied, ``stats.notes["columnar"]`` records
-    which kernel family actually ran (1 columnar, 0 object/naive).
     """
     pattern = plan.pattern
     if plan.kind == "optional":
@@ -206,39 +168,19 @@ def execute_plan(
             )
         )
     if plan.kind == "naive":
-        if stats is not None:
-            stats.notes["columnar"] = 0
         return naive_match(
             pattern, labeled, factory.term_index, stats, deadline=deadline
         )
     algorithm = plan.algorithm
-    if plan.kind == "columnar":
-        if stats is not None:
-            stats.notes["columnar"] = 1
-        views = plan.views
-        assert views is not None
-        if algorithm is Algorithm.PATH_STACK:
-            return path_stack_match_columnar(pattern, views, stats, deadline)
-        if algorithm is Algorithm.STRUCTURAL_JOIN:
-            return structural_join_match_columnar(
-                pattern, views, stats, deadline=deadline
-            )
-        if algorithm is Algorithm.TJFAST:
-            return tjfast_match_columnar(
-                pattern, views, factory.term_index, stats, deadline
-            )
-        return twig_stack_match_columnar(pattern, views, stats, deadline)
-    if stats is not None:
-        stats.notes["columnar"] = 0
-    streams = plan.streams
-    assert streams is not None
+    views = plan.views
+    assert views is not None
     if algorithm is Algorithm.PATH_STACK:
-        return path_stack_match(pattern, streams, stats, deadline)
+        return path_stack_match_columnar(pattern, views, stats, deadline)
     if algorithm is Algorithm.STRUCTURAL_JOIN:
-        return structural_join_match(pattern, streams, stats, deadline=deadline)
-    if algorithm is Algorithm.TJFAST:
-        return tjfast_match(pattern, streams, factory.term_index, stats, deadline)
-    return twig_stack_match(pattern, streams, stats, deadline)
+        return structural_join_match_columnar(
+            pattern, views, stats, deadline=deadline
+        )
+    return twig_stack_match_columnar(pattern, views, stats, deadline)
 
 
 def evaluate(
@@ -249,24 +191,17 @@ def evaluate(
     stats: AlgorithmStats | None = None,
     prune_streams: bool = False,
     deadline: Deadline | None = None,
-    use_columnar: bool | None = None,
 ) -> list[Match]:
     """Evaluate ``pattern`` with the chosen (or planned) algorithm.
 
     ``prune_streams`` filters every node's stream by its DataGuide
     candidate positions first (see
-    :func:`repro.twig.algorithms.common.build_streams`).
+    :func:`repro.twig.algorithms.common.build_columnar_streams`).
 
     One-shot compile + execute; the engine caches the compiled plan
     instead of calling this (see ``LotusXDatabase.matches``).
     """
     plan = compile_plan(
-        pattern,
-        labeled,
-        factory,
-        algorithm,
-        prune_streams,
-        deadline,
-        use_columnar,
+        pattern, labeled, factory, algorithm, prune_streams, deadline
     )
     return execute_plan(plan, labeled, factory, stats, deadline)

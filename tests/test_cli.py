@@ -120,7 +120,7 @@ class TestSchemaAndProfile:
     def test_profile_prints_all_algorithms(self, corpus, capsys):
         assert main(["profile", corpus, "//article[./author]/title"]) == 0
         out = capsys.readouterr().out
-        for name in ("structural-join", "twig-stack", "tjfast"):
+        for name in ("structural-join", "twig-stack"):
             assert name in out
 
     def test_profile_path_query_includes_pathstack(self, corpus, capsys):

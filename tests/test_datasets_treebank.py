@@ -66,7 +66,6 @@ class TestDeepRecursionMatching:
                 Algorithm.NAIVE,
                 Algorithm.STRUCTURAL_JOIN,
                 Algorithm.TWIG_STACK,
-                Algorithm.TJFAST,
             )
         }
         baseline = results[Algorithm.NAIVE]

@@ -66,3 +66,48 @@ class TestMatchCache:
         big.matches(query)
         warm = time.perf_counter() - started
         assert warm < cold
+
+
+def _article_title(skip_an_id: bool):
+    """``//article/title``, its title numbered 1 — or 2, when a node was
+    added and removed first (as an editing session does)."""
+    from repro.twig.pattern import TwigPattern
+
+    pattern = TwigPattern("article")
+    if skip_an_id:
+        dropped = pattern.add_child(pattern.root, "year")
+        pattern.root.children.remove(dropped)
+    pattern.add_child(pattern.root, "title")
+    return pattern
+
+
+@pytest.mark.parametrize("facade", ["mono", "sharded"])
+def test_cache_key_includes_node_ids(facade):
+    """Two equal patterns numbered differently must not share an entry:
+    the cached matches are keyed by node id."""
+    from repro.shard.database import ShardedDatabase
+    from repro.xmlio.builder import parse_string
+    from tests.conftest import SMALL_XML
+
+    def build():
+        if facade == "mono":
+            return LotusXDatabase.from_string(SMALL_XML)
+        return ShardedDatabase.from_document(
+            parse_string(SMALL_XML), shards=2, executor_mode="serial"
+        )
+
+    warm, fresh = build(), build()
+    try:
+        warm.matches(_article_title(skip_an_id=False))
+        renumbered = _article_title(skip_an_id=True)
+        assert [node.node_id for node in renumbered.nodes()] == [0, 2]
+        got = warm.matches(renumbered)
+        expected = fresh.matches(renumbered)
+        assert [sorted(m.assignments) for m in expected] == [[0, 2]] * 2
+        assert [m.key() for m in got] == [m.key() for m in expected]
+        assert [sorted(m.assignments) for m in got] == [[0, 2]] * 2
+    finally:
+        for database in (warm, fresh):
+            close = getattr(database, "close", None)
+            if close is not None:
+                close()

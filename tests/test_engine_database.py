@@ -100,7 +100,7 @@ class TestProfile:
     def test_profile_reports_all_algorithms(self, small_db):
         data = small_db.profile("//article[./author]/title")
         names = {row["algorithm"] for row in data["profiles"]}
-        assert names == {"structural-join", "twig-stack", "tjfast"}
+        assert names == {"structural-join", "twig-stack"}
         for row in data["profiles"]:
             assert row["matches"] == 3  # one embedding per (author, title)
             assert row["median_ms"] >= 0

@@ -104,7 +104,9 @@ def test_generation_advance_clears_stream_memo_and_completions(db):
     the stamp move itself must shed every memoized filtered stream and
     cached completion list built under the old generation."""
     factory = db.streams
-    factory.filtered_stream("article", lambda el: el.level == 1, key="drill")
+    factory.filtered_columnar_stream(
+        "article", lambda el: el.level == 1, key="drill"
+    )
     assert len(factory._filtered_cache) == 1
     db.complete_tag(prefix="a")
     assert db.autocomplete.cache_info()["entries"] >= 1
@@ -118,7 +120,9 @@ def test_generation_advance_clears_stream_memo_and_completions(db):
     assert not db._match_cache
     assert db.autocomplete.cache_info()["entries"] == 0
     # Re-stamping with the *same* value is a no-op (no cache churn).
-    factory.filtered_stream("article", lambda el: el.level == 1, key="drill")
+    factory.filtered_columnar_stream(
+        "article", lambda el: el.level == 1, key="drill"
+    )
     db.serving_generation = db.serving_generation
     assert len(factory._filtered_cache) == 1
 

@@ -319,7 +319,6 @@ def _strip_columnar_to_v1(data: bytes) -> bytes:
 
 
 def test_columnar_section_round_trips(built_db, loaded_db):
-    assert loaded_db.streams.supports_columnar()
     built_col = built_db.streams.columnar
     loaded_col = loaded_db.streams.columnar
     assert loaded_col is not None
@@ -335,12 +334,12 @@ def test_columnar_section_round_trips(built_db, loaded_db):
     # kernels (stats bypasses the match cache other tests may have warmed).
     from repro.twig.algorithms.common import AlgorithmStats
 
-    stats = AlgorithmStats()
-    loaded_db.matches(QUERIES[0], stats=stats)
-    assert stats.notes["columnar"] == 1
+    before = loaded_db.counters["columnar_evaluations"]
+    loaded_db.matches(QUERIES[0], stats=AlgorithmStats())
+    assert loaded_db.counters["columnar_evaluations"] == before + 1
 
 
-def test_v1_snapshot_falls_back_to_object_streams(built_db, tmp_path):
+def test_v1_snapshot_rebuilds_its_columns(built_db, tmp_path):
     v2_path = tmp_path / "v2.lxsnap"
     save_snapshot(built_db, v2_path, version=2)
     v1_path = tmp_path / "v1.lxsnap"
@@ -349,13 +348,17 @@ def test_v1_snapshot_falls_back_to_object_streams(built_db, tmp_path):
     assert info.version == 1
     assert "columnar" not in info.section_sizes
     db = load_snapshot(v1_path)
-    assert db.streams.supports_columnar() is False
-    assert db.streams.columnar is None
+    built_col = built_db.streams.columnar
+    rebuilt_col = db.streams.columnar
+    assert rebuilt_col.tags() == built_col.tags()
+    for tag in sorted(built_col.tags()) + [None]:
+        assert rebuilt_col.stream(tag).starts == built_col.stream(tag).starts
+        assert rebuilt_col.stream(tag).ends == built_col.stream(tag).ends
     for query in QUERIES:
         assert db.matches(query) == built_db.matches(query), query
-    assert db.counters["fallback_evaluations"] > 0
-    assert db.counters["columnar_evaluations"] == 0
-    assert db.cache_statistics()["columnar_enabled"] is False
+    assert db.counters["columnar_evaluations"] > 0
+    assert db.counters["fallback_evaluations"] == 0
+    assert db.cache_statistics()["columnar_enabled"] is True
 
 
 def test_lazy_snapshot_reports_columnar_without_inflating(snapshot_path):

@@ -1,8 +1,8 @@
-"""Stream factory and cursors."""
+"""Stream factory: per-tag and filtered columnar streams."""
 
 import pytest
 
-from repro.index.element_index import StreamCursor, StreamFactory
+from repro.index.element_index import StreamFactory
 from repro.index.term_index import TermIndex
 from repro.labeling.assign import label_document
 from repro.xmlio.builder import parse_string
@@ -20,52 +20,27 @@ def factory():
 class TestStreams:
     def test_tag_stream(self, factory):
         _, streams = factory
-        assert [e.tag for e in streams.stream("a")] == ["a", "a", "a"]
+        view = streams.columnar_stream("a")
+        assert [e.tag for e in view.elements] == ["a", "a", "a"]
+        assert list(view.starts) == [e.region.start for e in view.elements]
 
     def test_wildcard_stream_is_all_elements(self, factory):
         labeled, streams = factory
-        assert streams.stream(None) == labeled.elements
+        assert list(streams.columnar_stream(None).elements) == labeled.elements
 
     def test_missing_tag_stream_empty(self, factory):
         _, streams = factory
-        assert streams.stream("zzz") == []
+        assert len(streams.columnar_stream("zzz")) == 0
 
     def test_filtered_stream(self, factory):
         _, streams = factory
         term_index = streams.term_index
-        filtered = streams.filtered_stream(
+        filtered = streams.filtered_columnar_stream(
             "a", lambda el: term_index.subtree_contains(el, "two")
         )
         assert len(filtered) == 1
-        assert filtered[0].element.text == "two"
+        assert filtered.elements[0].element.text == "two"
 
     def test_no_filter_returns_base(self, factory):
         _, streams = factory
-        assert streams.filtered_stream("a") == streams.stream("a")
-
-
-class TestCursor:
-    def test_walk(self, factory):
-        _, streams = factory
-        cursor = streams.cursor("a")
-        seen = []
-        while not cursor.eof():
-            seen.append(cursor.head().element.text)
-            cursor.advance()
-        assert seen == ["one", "two", "three"]
-
-    def test_remaining_and_reset(self, factory):
-        _, streams = factory
-        cursor = streams.cursor("a")
-        assert cursor.remaining() == 3
-        cursor.advance()
-        assert cursor.remaining() == 2
-        cursor.reset()
-        assert cursor.remaining() == 3
-
-    def test_empty_cursor(self):
-        cursor = StreamCursor([])
-        assert cursor.eof()
-        assert cursor.remaining() == 0
-        with pytest.raises(IndexError):
-            cursor.head()
+        assert streams.columnar_stream("a") is streams.columnar.stream("a")

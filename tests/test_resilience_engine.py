@@ -31,7 +31,6 @@ class TestMatches:
             Algorithm.STRUCTURAL_JOIN,
             Algorithm.PATH_STACK,
             Algorithm.TWIG_STACK,
-            Algorithm.TJFAST,
         ],
     )
     def test_every_algorithm_honors_deadline(self, small_db, algorithm):

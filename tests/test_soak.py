@@ -15,7 +15,6 @@ from repro.twig.sample import sample_workload
 ALGORITHMS = (
     Algorithm.STRUCTURAL_JOIN,
     Algorithm.TWIG_STACK,
-    Algorithm.TJFAST,
 )
 
 

@@ -11,18 +11,15 @@ import pytest
 from repro.index.element_index import StreamFactory
 from repro.index.term_index import TermIndex
 from repro.labeling.assign import label_document
-from repro.twig.algorithms.common import AlgorithmStats, build_streams
+from repro.twig.algorithms.common import AlgorithmStats, build_columnar_streams
 from repro.twig.algorithms.naive import naive_match
-from repro.twig.algorithms.path_stack import path_stack_match
-from repro.twig.algorithms.structural_join import (
-    structural_join_match,
-    structural_join_pairs,
-)
-from repro.twig.algorithms.twig_stack import twig_stack_match
+from repro.twig.algorithms.structural_join import structural_join_pairs_columnar
 from repro.twig.match import sort_matches
 from repro.twig.parse import parse_twig
 from repro.twig.pattern import Axis
+from repro.twig.planner import Algorithm
 from repro.xmlio.builder import parse_string
+from tests.kernels import kernels_for, run_kernel
 
 XML = (
     "<dblp>"
@@ -43,16 +40,15 @@ def ctx():
 
 
 def run_all(ctx, query):
+    """Sorted matches per (kernel, prune_streams), plus the naive oracle."""
     labeled, term_index, factory = ctx
     pattern = parse_twig(query)
-    streams = build_streams(pattern, factory)
-    results = {
-        "naive": sort_matches(naive_match(pattern, labeled, term_index)),
-        "join": sort_matches(structural_join_match(pattern, streams)),
-        "twig": sort_matches(twig_stack_match(pattern, streams)),
-    }
-    if pattern.is_path():
-        results["path"] = sort_matches(path_stack_match(pattern, streams))
+    results = {"naive": sort_matches(naive_match(pattern, labeled, term_index))}
+    for algorithm in kernels_for(pattern):
+        for prune in (False, True):
+            results[algorithm.value, prune] = run_kernel(
+                pattern, labeled, factory, algorithm, prune
+            )
     return pattern, results
 
 
@@ -93,35 +89,42 @@ class TestKnownAnswers:
 
 class TestStructuralJoinPairs:
     def test_descendant_pairs(self, ctx):
-        labeled, _, _ = ctx
-        pairs = structural_join_pairs(
-            labeled.stream("dblp"), labeled.stream("author"), Axis.DESCENDANT
+        _, _, factory = ctx
+        pairs = structural_join_pairs_columnar(
+            factory.columnar_stream("dblp"),
+            factory.columnar_stream("author"),
+            Axis.DESCENDANT,
         )
         assert len(pairs) == 4
 
     def test_child_pairs_respect_level(self, ctx):
-        labeled, _, _ = ctx
-        pairs = structural_join_pairs(
-            labeled.stream("book"), labeled.stream("author"), Axis.CHILD
+        _, _, factory = ctx
+        pairs = structural_join_pairs_columnar(
+            factory.columnar_stream("book"),
+            factory.columnar_stream("author"),
+            Axis.CHILD,
         )
         assert pairs == []
-        pairs = structural_join_pairs(
-            labeled.stream("editor"), labeled.stream("author"), Axis.CHILD
+        pairs = structural_join_pairs_columnar(
+            factory.columnar_stream("editor"),
+            factory.columnar_stream("author"),
+            Axis.CHILD,
         )
         assert len(pairs) == 1
 
     def test_self_join_excludes_identity(self, ctx):
-        labeled, _, _ = ctx
-        stream = labeled.stream("author")
-        assert (
-            structural_join_pairs(stream, stream, Axis.DESCENDANT) == []
-        )
+        _, _, factory = ctx
+        stream = factory.columnar_stream("author")
+        assert structural_join_pairs_columnar(stream, stream, Axis.DESCENDANT) == []
 
     def test_stats_count_pairs(self, ctx):
-        labeled, _, _ = ctx
+        _, _, factory = ctx
         stats = AlgorithmStats()
-        structural_join_pairs(
-            labeled.stream("article"), labeled.stream("author"), Axis.CHILD, stats
+        structural_join_pairs_columnar(
+            factory.columnar_stream("article"),
+            factory.columnar_stream("author"),
+            Axis.CHILD,
+            stats,
         )
         assert stats.intermediate_results == 3
         assert stats.elements_scanned == 2 + 4
@@ -129,17 +132,15 @@ class TestStructuralJoinPairs:
 
 class TestPathStack:
     def test_rejects_branching_patterns(self, ctx):
-        _, _, factory = ctx
+        labeled, _, factory = ctx
         pattern = parse_twig("//article[./title][./year]")
-        streams = build_streams(pattern, factory)
         with pytest.raises(ValueError, match="linear path"):
-            path_stack_match(pattern, streams)
+            run_kernel(pattern, labeled, factory, Algorithm.PATH_STACK)
 
     def test_single_node_pattern(self, ctx):
-        _, _, factory = ctx
+        labeled, _, factory = ctx
         pattern = parse_twig("//author")
-        streams = build_streams(pattern, factory)
-        assert len(path_stack_match(pattern, streams)) == 4
+        assert len(run_kernel(pattern, labeled, factory, Algorithm.PATH_STACK)) == 4
 
 
 class TestTwigStackOptimality:
@@ -148,9 +149,10 @@ class TestTwigStackOptimality:
         final match (the I/O-optimality property)."""
         labeled, _, factory = ctx
         pattern = parse_twig("//article[.//author][.//year]")
-        streams = build_streams(pattern, factory)
         stats = AlgorithmStats()
-        matches = twig_stack_match(pattern, streams, stats)
+        matches = run_kernel(
+            pattern, labeled, factory, Algorithm.TWIG_STACK, stats=stats
+        )
         # Path solutions: one per (article, author) + one per (article, year).
         authors_under_articles = 3
         years_under_articles = 2
@@ -160,11 +162,12 @@ class TestTwigStackOptimality:
         assert len(matches) == 3  # 2 + 1 author/year combinations
 
     def test_stats_matches_counter(self, ctx):
-        _, _, factory = ctx
+        labeled, _, factory = ctx
         pattern = parse_twig("//article/author")
-        streams = build_streams(pattern, factory)
         stats = AlgorithmStats()
-        matches = twig_stack_match(pattern, streams, stats)
+        matches = run_kernel(
+            pattern, labeled, factory, Algorithm.TWIG_STACK, stats=stats
+        )
         assert stats.matches == len(matches) == 3
 
 
@@ -178,35 +181,35 @@ class TestExhaustedBranchRegression:
         )
         factory = StreamFactory(labeled, TermIndex(labeled))
         pattern = parse_twig("//c[.//c[.//d[./*]]][.//a]")
-        streams = build_streams(pattern, factory)
-        matches = twig_stack_match(pattern, streams)
+        matches = run_kernel(pattern, labeled, factory, Algorithm.TWIG_STACK)
         oracle = naive_match(pattern, labeled, TermIndex(labeled))
         assert len(matches) == len(oracle) == 6
-        assert sort_matches(matches) == sort_matches(oracle)
+        assert matches == sort_matches(oracle)
 
 
 class TestRootPinning:
     def test_child_axis_root_pins_to_document_root(self, ctx):
         labeled, term_index, factory = ctx
         pattern = parse_twig("/article")
-        streams = build_streams(pattern, factory)
-        assert streams[pattern.root.node_id] == []
-        assert twig_stack_match(pattern, streams) == []
+        streams = build_columnar_streams(pattern, factory)
+        assert len(streams[pattern.root.node_id]) == 0
+        for algorithm in kernels_for(pattern):
+            assert run_kernel(pattern, labeled, factory, algorithm) == []
         assert naive_match(pattern, labeled, term_index) == []
 
     def test_child_axis_root_matches_actual_root(self, ctx):
         labeled, term_index, factory = ctx
         pattern = parse_twig("/dblp/article")
-        streams = build_streams(pattern, factory)
-        matches = twig_stack_match(pattern, streams)
-        assert len(matches) == 2
-        assert matches == sort_matches(naive_match(pattern, labeled, term_index))
+        oracle = sort_matches(naive_match(pattern, labeled, term_index))
+        assert len(oracle) == 2
+        for algorithm in kernels_for(pattern):
+            assert run_kernel(pattern, labeled, factory, algorithm) == oracle
 
 
 class TestWildcards:
     def test_wildcard_stream_and_matching(self, ctx):
-        _, _, factory = ctx
+        labeled, _, factory = ctx
         pattern = parse_twig("//*/editor")
-        streams = build_streams(pattern, factory)
-        matches = twig_stack_match(pattern, streams)
-        assert len(matches) == 1  # only <book> is editor's parent
+        for algorithm in kernels_for(pattern):
+            matches = run_kernel(pattern, labeled, factory, algorithm)
+            assert len(matches) == 1  # only <book> is editor's parent

@@ -1,6 +1,6 @@
-"""Columnar twig kernels: agreement with the object-stream kernels,
-plan-level representation selection, deadline behavior, the
-object-stream fallback factory, and the filtered-stream memo."""
+"""Columnar twig kernels: agreement with the naive oracle, pruned
+streams, evaluation counters, deadline behavior, and the filtered-stream
+memo."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from repro.resilience.errors import DeadlineExceeded
 from repro.twig.algorithms.common import AlgorithmStats
 from repro.twig.match import sort_matches
 from repro.twig.planner import Algorithm, evaluate
+from tests.kernels import kernels_for
 
 QUERIES = [
     "//article/title",
@@ -33,72 +34,30 @@ def db() -> LotusXDatabase:
     return LotusXDatabase(generate_dblp(publications=25, seed=13))
 
 
-def _algorithms(pattern) -> list[Algorithm]:
-    algorithms = [
-        Algorithm.AUTO,
-        Algorithm.STRUCTURAL_JOIN,
-        Algorithm.TWIG_STACK,
-        Algorithm.TJFAST,
-    ]
-    if pattern.is_path():
-        algorithms.append(Algorithm.PATH_STACK)
-    return algorithms
-
-
 # ---------------------------------------------------------------------------
-# Agreement: columnar and object kernels are interchangeable
+# Agreement: every kernel equals the naive oracle, pruned or not
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("query", QUERIES)
-def test_columnar_agrees_with_object(db, query):
+def test_columnar_agrees_with_naive(db, query):
     pattern = db.parse_query(query)
-    for algorithm in _algorithms(pattern):
-        object_matches = sort_matches(
-            evaluate(
-                pattern, db.labeled, db.streams, algorithm, use_columnar=False
-            )
-        )
-        columnar_matches = sort_matches(
-            evaluate(
-                pattern, db.labeled, db.streams, algorithm, use_columnar=True
-            )
-        )
-        assert columnar_matches == object_matches, (query, algorithm)
+    expected = sort_matches(
+        evaluate(pattern, db.labeled, db.streams, Algorithm.NAIVE)
+    )
+    for algorithm in [Algorithm.AUTO, *kernels_for(pattern)]:
+        got = sort_matches(evaluate(pattern, db.labeled, db.streams, algorithm))
+        assert got == expected, (query, algorithm)
 
 
 @pytest.mark.parametrize("query", QUERIES)
 def test_columnar_agrees_with_pruned_streams(db, query):
     pattern = db.parse_query(query)
-    expected = sort_matches(
-        evaluate(pattern, db.labeled, db.streams, use_columnar=False)
-    )
+    expected = sort_matches(evaluate(pattern, db.labeled, db.streams))
     pruned = sort_matches(
-        evaluate(
-            pattern,
-            db.labeled,
-            db.streams,
-            prune_streams=True,
-            use_columnar=True,
-        )
+        evaluate(pattern, db.labeled, db.streams, prune_streams=True)
     )
     assert pruned == expected, query
-
-
-def test_stats_note_records_representation(db):
-    pattern = db.parse_query("//article[./title]/author")
-    stats = AlgorithmStats()
-    evaluate(pattern, db.labeled, db.streams, stats=stats, use_columnar=True)
-    assert stats.notes["columnar"] == 1
-    assert stats.elements_scanned > 0
-    stats = AlgorithmStats()
-    evaluate(pattern, db.labeled, db.streams, stats=stats, use_columnar=False)
-    assert stats.notes["columnar"] == 0
-    stats = AlgorithmStats()
-    evaluate(
-        pattern, db.labeled, db.streams, Algorithm.NAIVE, stats=stats
-    )
-    assert stats.notes["columnar"] == 0
 
 
 def test_database_counts_columnar_evaluations(db):
@@ -109,6 +68,11 @@ def test_database_counts_columnar_evaluations(db):
         == before["columnar_evaluations"] + 1
     )
     assert db.counters["fallback_evaluations"] == before["fallback_evaluations"]
+    db.matches("//inproceedings/title", Algorithm.NAIVE, stats=AlgorithmStats())
+    assert (
+        db.counters["fallback_evaluations"]
+        == before["fallback_evaluations"] + 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +87,6 @@ def test_database_counts_columnar_evaluations(db):
         ("//dblp//article/author", Algorithm.PATH_STACK),
         ("//article[./title]/author", Algorithm.TWIG_STACK),
         ("//article[./title]/author", Algorithm.STRUCTURAL_JOIN),
-        ("//article[./title]/author", Algorithm.TJFAST),
     ],
 )
 def test_columnar_kernels_honor_deadlines(db, query, algorithm):
@@ -135,7 +98,6 @@ def test_columnar_kernels_honor_deadlines(db, query, algorithm):
             db.streams,
             algorithm,
             deadline=Deadline(max_steps=5),
-            use_columnar=True,
         )
 
 
@@ -149,7 +111,6 @@ def test_columnar_path_stack_salvages_partial(db):
             db.streams,
             Algorithm.PATH_STACK,
             deadline=Deadline(max_steps=10),
-            use_columnar=True,
         )
     partial = info.value.partial
     assert partial
@@ -157,29 +118,7 @@ def test_columnar_path_stack_salvages_partial(db):
 
 
 # ---------------------------------------------------------------------------
-# The object-stream fallback factory (pre-columnar snapshots)
-# ---------------------------------------------------------------------------
-
-
-def test_fallback_factory_serves_object_streams(db):
-    factory = StreamFactory(db.labeled, db.term_index, build_columnar=False)
-    assert factory.supports_columnar() is False
-    assert factory.columnar is None
-    with pytest.raises(RuntimeError):
-        factory.columnar_stream("article")
-    pattern = db.parse_query("//article[./title]/author")
-    stats = AlgorithmStats()
-    matches = sort_matches(
-        evaluate(pattern, db.labeled, factory, stats=stats)
-    )
-    assert stats.notes["columnar"] == 0
-    assert matches == sort_matches(
-        evaluate(pattern, db.labeled, db.streams, use_columnar=True)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Filtered-stream memoization (object + columnar)
+# Filtered-stream memoization
 # ---------------------------------------------------------------------------
 
 
@@ -191,40 +130,50 @@ def test_filtered_stream_memoized_by_tag_and_key(db):
         calls.append(el)
         return True
 
-    first = factory.filtered_stream("article", young, key="k1")
+    first = factory.filtered_columnar_stream("article", young, key="k1")
     scans = len(calls)
     assert scans == len(db.labeled.stream("article"))
     # Same (tag, key): served from the memo, filter not re-run.
-    assert factory.filtered_stream("article", young, key="k1") is first
+    assert factory.filtered_columnar_stream("article", young, key="k1") is first
     assert len(calls) == scans
     # A different key or tag re-filters.
-    assert factory.filtered_stream("article", young, key="k2") is not first
-    factory.filtered_stream("author", young, key="k1")
+    assert (
+        factory.filtered_columnar_stream("article", young, key="k2")
+        is not first
+    )
+    factory.filtered_columnar_stream("author", young, key="k1")
     assert len(calls) > scans
     # No key: never memoized.
-    assert factory.filtered_stream("article", young) is not first
+    assert factory.filtered_columnar_stream("article", young) is not first
 
 
 def test_filtered_columnar_stream_memoized_separately(db):
+    """One memo entry per (tag, key): the same key under another tag is a
+    separate view, and each view holds exactly its filtered elements."""
     factory = StreamFactory(db.labeled, db.term_index)
     keep = lambda el: el.region.level >= 1  # noqa: E731
-    object_view = factory.filtered_stream("article", keep, key="deep")
-    columnar_view = factory.filtered_columnar_stream("article", keep, key="deep")
-    # Same key, different representation namespaces.
+    article_view = factory.filtered_columnar_stream("article", keep, key="deep")
+    title_view = factory.filtered_columnar_stream("title", keep, key="deep")
     assert factory.filtered_columnar_stream("article", keep, key="deep") is (
-        columnar_view
+        article_view
     )
-    assert columnar_view.elements == object_view
+    assert title_view is not article_view
+    assert article_view.elements == [
+        el for el in db.labeled.stream("article") if keep(el)
+    ]
+    assert title_view.elements == [
+        el for el in db.labeled.stream("title") if keep(el)
+    ]
 
 
 def test_filtered_stream_memo_evicts_lru(db):
     factory = StreamFactory(db.labeled, db.term_index)
     keep = lambda el: True  # noqa: E731
-    first = factory.filtered_stream("article", keep, key=0)
+    first = factory.filtered_columnar_stream("article", keep, key=0)
     for key in range(1, factory.FILTER_CACHE_SIZE + 1):
-        factory.filtered_stream("article", keep, key=key)
-    # The oldest entry fell out; a fresh list is built for it.
-    assert factory.filtered_stream("article", keep, key=0) is not first
+        factory.filtered_columnar_stream("article", keep, key=key)
+    # The oldest entry fell out; a fresh view is built for it.
+    assert factory.filtered_columnar_stream("article", keep, key=0) is not first
 
 
 # ---------------------------------------------------------------------------

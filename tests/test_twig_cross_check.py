@@ -24,12 +24,6 @@ from hypothesis import strategies as st
 from repro.index.element_index import StreamFactory
 from repro.index.term_index import TermIndex
 from repro.labeling.assign import label_document
-from repro.twig.algorithms.common import build_streams
-from repro.twig.algorithms.naive import naive_match
-from repro.twig.algorithms.path_stack import path_stack_match
-from repro.twig.algorithms.structural_join import structural_join_match
-from repro.twig.algorithms.tjfast import tjfast_match
-from repro.twig.algorithms.twig_stack import twig_stack_match
 from repro.twig.match import sort_matches
 from repro.twig.pattern import (
     AbsentBranchPredicate,
@@ -41,6 +35,7 @@ from repro.twig.pattern import (
 )
 from repro.twig.planner import Algorithm, evaluate
 from repro.xmlio.tree import Document, Element
+from tests.kernels import assert_kernels_agree, kernels_for, run_kernel
 
 TAGS = ["a", "b", "c", "d"]
 WORDS = ["red", "blue", "green"]
@@ -97,16 +92,7 @@ def _random_tag(rng: random.Random) -> str | None:
 @settings(max_examples=250, deadline=None)
 def test_all_algorithms_agree_with_naive(document, pattern):
     labeled = label_document(document)
-    term_index = TermIndex(labeled)
-    factory = StreamFactory(labeled, term_index)
-    streams = build_streams(pattern, factory)
-
-    oracle = sort_matches(naive_match(pattern, labeled, term_index))
-    assert sort_matches(twig_stack_match(pattern, streams)) == oracle
-    assert sort_matches(structural_join_match(pattern, streams)) == oracle
-    assert sort_matches(tjfast_match(pattern, streams, term_index)) == oracle
-    if pattern.is_path():
-        assert sort_matches(path_stack_match(pattern, streams)) == oracle
+    assert_kernels_agree(pattern, labeled, TermIndex(labeled))
 
 
 @given(documents(), patterns())
@@ -116,20 +102,22 @@ def test_matches_actually_embed_the_pattern(document, pattern):
     labeled = label_document(document)
     term_index = TermIndex(labeled)
     factory = StreamFactory(labeled, term_index)
-    streams = build_streams(pattern, factory)
 
-    for match in twig_stack_match(pattern, streams):
-        for node in pattern.nodes():
-            element = match.element(node.node_id)
-            assert node.accepts_tag(element.tag)
-            if node.predicate is not None:
-                assert node.predicate.matches(element, term_index)
-            if node.parent is not None:
-                parent_element = match.element(node.parent.node_id)
-                if node.axis is Axis.CHILD:
-                    assert parent_element.region.is_parent_of(element.region)
-                else:
-                    assert parent_element.region.is_ancestor_of(element.region)
+    for algorithm in kernels_for(pattern):
+        for match in run_kernel(pattern, labeled, factory, algorithm):
+            for node in pattern.nodes():
+                element = match.element(node.node_id)
+                assert node.accepts_tag(element.tag)
+                if node.predicate is not None:
+                    assert node.predicate.matches(element, term_index)
+                if node.parent is not None:
+                    parent_element = match.element(node.parent.node_id)
+                    if node.axis is Axis.CHILD:
+                        assert parent_element.region.is_parent_of(element.region)
+                    else:
+                        assert parent_element.region.is_ancestor_of(
+                            element.region
+                        )
 
 
 # ---------------------------------------------------------------------------
@@ -214,43 +202,28 @@ def _harness_pattern(seed: int, shape: str) -> TwigPattern:
     return pattern
 
 
-def _harness_algorithms(pattern: TwigPattern) -> list[Algorithm]:
-    algorithms = [
-        Algorithm.STRUCTURAL_JOIN,
-        Algorithm.TWIG_STACK,
-        Algorithm.TJFAST,
-    ]
-    if pattern.is_path():
-        algorithms.append(Algorithm.PATH_STACK)
-    return algorithms
-
-
 @pytest.mark.parametrize("batch", range(HARNESS_BATCHES))
 def test_differential_harness(batch):
     for case in range(HARNESS_CASES_PER_BATCH):
         seed = batch * HARNESS_CASES_PER_BATCH + case
         shape = _harness_shape(case)
-        prune = seed % 3 == 0
         document = _harness_document(seed)
         labeled = label_document(document)
         term_index = TermIndex(labeled)
         factory = StreamFactory(labeled, term_index)
         pattern = _harness_pattern(seed, shape)
-        context = f"seed={seed} shape={shape} prune={prune} pattern={pattern}"
+        context = f"seed={seed} shape={shape} pattern={pattern}"
 
         oracle = sort_matches(
             evaluate(pattern, labeled, factory, Algorithm.NAIVE)
         )
-        for algorithm in _harness_algorithms(pattern):
-            got = sort_matches(
-                evaluate(
-                    pattern, labeled, factory, algorithm, prune_streams=prune
+        for algorithm in kernels_for(pattern):
+            for prune in (False, True):
+                got = run_kernel(pattern, labeled, factory, algorithm, prune)
+                assert got == oracle, (
+                    f"{algorithm.value} prune={prune} disagrees with naive"
+                    f" oracle ({len(got)} vs {len(oracle)} matches): {context}"
                 )
-            )
-            assert got == oracle, (
-                f"{algorithm.value} disagrees with naive oracle"
-                f" ({len(got)} vs {len(oracle)} matches): {context}"
-            )
 
 
 def test_differential_harness_coverage():
@@ -276,13 +249,10 @@ def test_differential_harness_coverage():
             for n in pattern.nodes()
         ):
             counts["negation"] += 1
-        if seed % 3 == 0:
-            counts["pruned"] += 1
-    # 200+ cases per algorithm: every case runs StructuralJoin, TwigStack,
-    # and TJFast; PathStack runs on the path-shaped half.
+    # 200+ cases per algorithm: every case runs StructuralJoin and
+    # TwigStack, unpruned and pruned; PathStack runs on the path-shaped half.
     assert counts["cases"] >= 400, counts
     assert counts["path"] >= 200, counts
     assert counts["ordered"] >= 60, counts
     assert counts["optional"] >= 60, counts
     assert counts["negation"] >= 60, counts
-    assert counts["pruned"] >= 100, counts

@@ -1,11 +1,7 @@
 """DataGuide stream pruning: soundness and effect."""
 
-import pytest
-
-from repro.twig.algorithms.common import build_streams
-from repro.twig.algorithms.twig_stack import twig_stack_match
-from repro.twig.match import sort_matches
-from repro.twig.planner import Algorithm
+from repro.twig.algorithms.common import build_columnar_streams
+from tests.kernels import STREAM_KERNELS, assert_kernels_agree
 
 
 class TestPrunedStreams:
@@ -13,8 +9,8 @@ class TestPrunedStreams:
         # author occurs under article, inproceedings and book/editor; the
         # pattern pins it under book.
         pattern = small_db.parse_query("//book//author")
-        plain = build_streams(pattern, small_db.streams)
-        pruned = build_streams(pattern, small_db.streams, small_db.guide)
+        plain = build_columnar_streams(pattern, small_db.streams)
+        pruned = build_columnar_streams(pattern, small_db.streams, small_db.guide)
         author_id = pattern.nodes()[1].node_id
         assert len(plain[author_id]) == 9
         assert len(pruned[author_id]) == 1
@@ -27,21 +23,14 @@ class TestPrunedStreams:
             "//*[./editor]",
         ]:
             pattern = small_db.parse_query(query)
-            plain = sort_matches(
-                twig_stack_match(pattern, build_streams(pattern, small_db.streams))
+            assert_kernels_agree(
+                pattern, small_db.labeled, small_db.term_index, query
             )
-            pruned = sort_matches(
-                twig_stack_match(
-                    pattern,
-                    build_streams(pattern, small_db.streams, small_db.guide),
-                )
-            )
-            assert plain == pruned, query
 
     def test_unsatisfiable_pattern_gets_empty_streams(self, small_db):
         pattern = small_db.parse_query("//article/publisher")
-        pruned = build_streams(pattern, small_db.streams, small_db.guide)
-        assert pruned[pattern.nodes()[1].node_id] == []
+        pruned = build_columnar_streams(pattern, small_db.streams, small_db.guide)
+        assert len(pruned[pattern.nodes()[1].node_id]) == 0
 
     def test_planner_flag(self, small_db):
         plain = small_db.matches("//book//author")
@@ -49,12 +38,7 @@ class TestPrunedStreams:
         assert plain == pruned
 
     def test_planner_flag_all_algorithms(self, small_db):
-        for algorithm in (
-            Algorithm.TWIG_STACK,
-            Algorithm.STRUCTURAL_JOIN,
-            Algorithm.PATH_STACK,
-            Algorithm.TJFAST,
-        ):
+        for algorithm in STREAM_KERNELS:
             assert (
                 len(
                     small_db.matches(

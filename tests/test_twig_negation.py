@@ -110,7 +110,6 @@ class TestSemantics:
                     Algorithm.NAIVE,
                     Algorithm.STRUCTURAL_JOIN,
                     Algorithm.TWIG_STACK,
-                    Algorithm.TJFAST,
                 )
             }
             baseline = results[Algorithm.NAIVE]

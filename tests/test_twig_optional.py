@@ -107,8 +107,7 @@ class TestSemantics:
 
     @pytest.mark.parametrize(
         "algorithm",
-        [Algorithm.NAIVE, Algorithm.TWIG_STACK, Algorithm.STRUCTURAL_JOIN,
-         Algorithm.TJFAST],
+        [Algorithm.NAIVE, Algorithm.TWIG_STACK, Algorithm.STRUCTURAL_JOIN],
     )
     def test_all_algorithms_support_optional(self, db, algorithm):
         assert len(db.matches("//article[./note?]/author", algorithm)) == 3

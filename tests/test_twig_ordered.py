@@ -5,16 +5,14 @@ import pytest
 from repro.index.element_index import StreamFactory
 from repro.index.term_index import TermIndex
 from repro.labeling.assign import label_document
-from repro.twig.algorithms.common import build_streams
-from repro.twig.algorithms.naive import naive_match
 from repro.twig.algorithms.ordered import (
     build_partial_order_check,
     order_constraint_pairs,
 )
-from repro.twig.algorithms.twig_stack import twig_stack_match
-from repro.twig.match import Match, sort_matches
+from repro.twig.match import Match
 from repro.twig.parse import parse_twig
 from repro.xmlio.builder import parse_string
+from tests.kernels import assert_kernels_agree, kernels_for, run_kernel
 
 # Two records with opposite field orders.
 XML = (
@@ -34,13 +32,9 @@ def ctx():
 
 
 def run(ctx, query):
-    labeled, term_index, factory = ctx
+    labeled, term_index, _ = ctx
     pattern = parse_twig(query)
-    streams = build_streams(pattern, factory)
-    holistic = sort_matches(twig_stack_match(pattern, streams))
-    oracle = sort_matches(naive_match(pattern, labeled, term_index))
-    assert holistic == oracle
-    return pattern, holistic
+    return pattern, assert_kernels_agree(pattern, labeled, term_index)
 
 
 class TestOrderedMatching:
@@ -61,13 +55,13 @@ class TestOrderedMatching:
         pattern = parse_twig("//rec[./x][./x]")
         first, second = pattern.root.children
         pattern.add_order_constraint(first, second)
-        streams = build_streams(pattern, factory)
-        matches = twig_stack_match(pattern, streams)
-        # Only rec3 has two x elements in order (x=5 before x=6).
-        assert len(matches) == 1
-        match = matches[0]
-        assert match.element(first.node_id).element.text == "5"
-        assert match.element(second.node_id).element.text == "6"
+        for algorithm in kernels_for(pattern):
+            matches = run_kernel(pattern, labeled, factory, algorithm)
+            # Only rec3 has two x elements in order (x=5 before x=6).
+            assert len(matches) == 1
+            match = matches[0]
+            assert match.element(first.node_id).element.text == "5"
+            assert match.element(second.node_id).element.text == "6"
 
 
 class TestConstraintMachinery:

@@ -43,3 +43,49 @@ class TestEvaluate:
         )
         assert stats.elements_scanned > 0
         assert stats.matches == 3
+
+
+class TestKernelInventory:
+    """One kernel family: the columnar stream kernels plus the naive
+    oracle.  A second copy of a kernel (or a new one) must be added here
+    on purpose, not slip in unnoticed."""
+
+    def test_algorithm_enum_holds_exactly_the_kept_kernels(self):
+        assert {algorithm.value for algorithm in Algorithm} == {
+            "auto",
+            "naive",
+            "structural-join",
+            "path-stack",
+            "twig-stack",
+        }
+
+    def test_algorithms_package_exports_exactly_the_kept_kernels(self):
+        import repro.twig.algorithms as algorithms
+
+        assert sorted(algorithms.__all__) == [
+            "AlgorithmStats",
+            "build_columnar_streams",
+            "build_partial_order_check",
+            "filter_ordered",
+            "naive_match",
+            "order_constraint_pairs",
+            "path_stack_match_columnar",
+            "structural_join_match_columnar",
+            "structural_join_pairs_columnar",
+            "twig_stack_match_columnar",
+        ]
+
+    def test_algorithms_package_holds_exactly_the_kept_modules(self):
+        import pkgutil
+
+        import repro.twig.algorithms as algorithms
+
+        modules = {m.name for m in pkgutil.iter_modules(algorithms.__path__)}
+        assert modules == {
+            "common",
+            "naive",
+            "ordered",
+            "path_stack",
+            "structural_join",
+            "twig_stack",
+        }

@@ -70,7 +70,7 @@ class TestSampleWorkload:
 
         for pattern in sample_workload(small_db.labeled, 11, 15):
             baseline = [m.key() for m in small_db.matches(pattern, Algorithm.NAIVE)]
-            for algorithm in (Algorithm.TWIG_STACK, Algorithm.TJFAST):
+            for algorithm in (Algorithm.STRUCTURAL_JOIN, Algorithm.TWIG_STACK):
                 assert [
                     m.key() for m in small_db.matches(pattern, algorithm)
                 ] == baseline, str(pattern)
