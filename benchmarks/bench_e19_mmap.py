@@ -1,25 +1,25 @@
-"""E19: zero-copy snapshots — mmap warm start vs the v2 inflate path.
+"""E19: zero-copy snapshots — mmap warm start vs the copying loader.
 
-A v2 warm start zlib-inflates and unpickles every section into heap
-objects before the server can take traffic; a v3 ``mmap`` warm start
-verifies the header, maps the file, and serves the hot sections (label
-columns, term postings, packed completion tries) as ``memoryview``
-slices of the mapping — O(header) work, no byte copies, and co-hosted
-processes share one set of physical pages.
+Both loaders read the same current-format snapshot file.  The copying
+warm start reads the whole file, verifies its digest, and inflates every
+section into heap objects before the server can take traffic; the
+``mmap`` warm start verifies the header, maps the file, and serves the
+hot sections (label columns, term postings, packed completion tries) as
+``memoryview`` slices of the mapping — O(header) work, no byte copies,
+and co-hosted processes share one set of physical pages.
 
 This experiment records, per corpus:
 
-* the v2 warm start (load + full inflate, what serving did before),
-* the v3 copying warm start (load + full inflate of the raw layout),
-* the v3 mmap warm start (map + hot sections only) and its speedup over
-  v2 — gated at ≥5x,
+* the copying warm start (load + full inflate),
+* the mmap warm start (map + hot sections only) and its speedup over the
+  copying warm start — gated at ≥5x,
 * per-replica process RSS: a fresh subprocess per mode loads the
   snapshot, warms, runs probe queries, and reports its private
   (``RssAnon``) and shared mapped (``RssFile``) resident memory — the
   private number is what a fleet operator multiplies by replica count;
   the mapped pages exist once regardless of fleet size.
 
-Correctness at every scale: all three loads answer the probe queries
+Correctness at every scale: both loads answer the probe queries
 identically.
 """
 
@@ -118,42 +118,37 @@ def test_e19_mmap_warm_start(tmp_path, benchmark, capsys):
         db = LotusXDatabase(document)
         oracle = {probe: db.matches(probe) for probe in probes}
 
-        v2_path = tmp_path / f"{name}-v2.lxsnap"
-        v3_path = tmp_path / f"{name}-v3.lxsnap"
-        save_snapshot(db, v2_path, version=2)
-        info = save_snapshot(db, v3_path)
+        path = tmp_path / f"{name}.lxsnap"
+        info = save_snapshot(db, path)
 
-        v2_s, v2_db = _best_of(lambda: load_snapshot(v2_path).warm())
-        v3_copy_s, v3_copy_db = _best_of(lambda: load_snapshot(v3_path).warm())
-        v3_mmap_s, v3_mmap_db = _best_of(
-            lambda: load_snapshot(v3_path, mmap="require").warm_hot()
+        copy_s, copy_db = _best_of(lambda: load_snapshot(path).warm())
+        mmap_s, mmap_db = _best_of(
+            lambda: load_snapshot(path, mmap="require").warm_hot()
         )
-        assert is_mmap_backed(v3_mmap_db)
+        assert is_mmap_backed(mmap_db)
 
-        # Correctness at every scale: all paths answer identically.
+        # Correctness at every scale: both loaders answer identically.
         for probe, expected in oracle.items():
-            assert v2_db.matches(probe) == expected, probe
-            assert v3_copy_db.matches(probe) == expected, probe
-            assert v3_mmap_db.matches(probe) == expected, probe
+            assert copy_db.matches(probe) == expected, probe
+            assert mmap_db.matches(probe) == expected, probe
 
         # Per-replica RSS: what each co-hosted serving process costs.
-        v2_replica = _replica_rss(v2_path, "inflate", probes)
-        v3_replica = _replica_rss(v3_path, "mmap", probes)
+        copy_replica = _replica_rss(path, "inflate", probes)
+        mmap_replica = _replica_rss(path, "mmap", probes)
 
-        speedup = v2_s / max(v3_mmap_s, 1e-9)
+        speedup = copy_s / max(mmap_s, 1e-9)
         speedups.append(speedup)
         rows.append(
             [
                 name,
                 info.element_count,
                 round(info.size_bytes / 1e6, 2),
-                round(v2_s * 1000, 1),
-                round(v3_copy_s * 1000, 1),
-                round(v3_mmap_s * 1000, 2),
+                round(copy_s * 1000, 1),
+                round(mmap_s * 1000, 2),
                 round(speedup, 1),
-                v2_replica["anon_kb"],
-                v3_replica["anon_kb"],
-                v3_replica["file_kb"],
+                copy_replica["anon_kb"],
+                mmap_replica["anon_kb"],
+                mmap_replica["file_kb"],
             ]
         )
 
@@ -161,39 +156,38 @@ def test_e19_mmap_warm_start(tmp_path, benchmark, capsys):
         "corpus",
         "elements",
         "snapshot_mb",
-        "v2_warm_ms",
-        "v3_copy_warm_ms",
-        "v3_mmap_warm_ms",
+        "copy_warm_ms",
+        "mmap_warm_ms",
         "speedup",
-        "v2_replica_anon_kb",
-        "v3_replica_anon_kb",
-        "v3_replica_shared_kb",
+        "copy_replica_anon_kb",
+        "mmap_replica_anon_kb",
+        "mmap_replica_shared_kb",
     ]
     # pytest-benchmark timing: the mmap warm-start path on DBLP.
-    dblp_v3 = tmp_path / f"dblp-{DBLP_SIZES[-1]}-v3.lxsnap"
-    benchmark(lambda: load_snapshot(dblp_v3, mmap="require").warm_hot())
+    dblp = tmp_path / f"dblp-{DBLP_SIZES[-1]}.lxsnap"
+    benchmark(lambda: load_snapshot(dblp, mmap="require").warm_hot())
 
     with capsys.disabled():
         print_table(
-            headers, rows, title="\nE19: mmap warm start vs v2 inflate"
+            headers, rows, title="\nE19: mmap warm start vs copying warm start"
         )
     record_bench(
         "e19_mmap",
         headers,
         rows,
-        meta={"gate": "v2_warm / v3_mmap_warm >= 5x"},
+        meta={"gate": "copy_warm / mmap_warm >= 5x"},
     )
 
-    # The acceptance bar: a v3 mmap warm start beats the v2 inflate
-    # warm start by at least 5x (it is O(header), not O(corpus)).
+    # The acceptance bar: an mmap warm start beats the copying warm start
+    # by at least 5x (it is O(header), not O(corpus)).
     shape_check(
         min(speedups) >= 5.0,
         f"mmap warm-start speedups {speedups} fell below 5x",
     )
     # Replica economics: a zero-copy replica must cost less private
-    # (anonymous) memory than an inflating one on every measured corpus;
+    # (anonymous) memory than a copying one on every measured corpus;
     # its mapped file pages are shared across the fleet.
     shape_check(
         all(row[-2] < row[-3] for row in rows),
-        f"mmap replica private RSS not below v2 replica RSS: {rows}",
+        f"mmap replica private RSS not below copying replica RSS: {rows}",
     )

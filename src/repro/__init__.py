@@ -2,8 +2,8 @@
 
 A position-aware XML twig search engine with auto-completion, result
 ranking, and query rewriting, built on from-scratch substrates: an XML
-parser, region/Dewey/extended-Dewey labeling, a DataGuide structural
-summary, inverted term + completion indexes, and the holistic twig-join
+parser, region labeling, a DataGuide structural summary (whose path
+nodes give every element its position identity), inverted term + completion indexes, and the holistic twig-join
 algorithm family.
 
 Quickstart::

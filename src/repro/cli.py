@@ -12,7 +12,6 @@ Subcommands::
     lotusx explain dblp.xml '//article/author'
     lotusx profile dblp.xml '//article[./author][./year]'
     lotusx schema dblp.xml
-    lotusx save dblp.xml ./dblp.store
     lotusx index dblp.xml dblp.lxsnap
     lotusx index dblp.xml ./dblp-shards --shards 4
     lotusx serve dblp.xml --port 8080
@@ -130,10 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     schema = sub.add_parser("schema", help="print the inferred DTD-like schema")
     schema.add_argument("corpus")
 
-    save = sub.add_parser("save", help="persist an indexed corpus to a directory")
-    save.add_argument("corpus")
-    save.add_argument("directory")
-
     index = sub.add_parser(
         "index", help="build the full index and write a snapshot file"
     )
@@ -194,9 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="serve snapshot hot sections zero-copy from an mmap of the"
-        " file (v3 snapshots; older snapshot versions automatically fall"
-        " back to the copying loader). --no-mmap forces the copying"
-        " loader. Ignored without --snapshot",
+        " file (a snapshot written with a foreign byte layout falls back"
+        " to the copying loader). --no-mmap forces the copying loader."
+        " Ignored without --snapshot",
     )
     serve.add_argument(
         "--shards",
@@ -419,12 +414,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.summary.schema import infer_schema
 
         print(infer_schema(database.document).to_dtd())
-        return 0
-    if args.command == "save":
-        from repro.engine.store import save_database
-
-        save_database(database, args.directory)
-        print(f"saved to {args.directory}")
         return 0
     raise AssertionError(f"unhandled command {args.command!r}")
 

@@ -16,10 +16,8 @@ from repro.engine.store import (
     SnapshotIntegrityError,
     SnapshotVersionError,
     StoreError,
-    load_database,
     load_snapshot,
     read_snapshot_info,
-    save_database,
     save_snapshot,
 )
 from repro.engine.translate import to_xpath, to_xquery
@@ -37,11 +35,9 @@ __all__ = [
     "SnapshotVersionError",
     "StoreError",
     "element_xpath",
-    "load_database",
     "load_snapshot",
     "make_snippet",
     "read_snapshot_info",
-    "save_database",
     "save_snapshot",
     "to_xpath",
     "to_xquery",

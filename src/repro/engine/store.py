@@ -1,19 +1,17 @@
-"""On-disk persistence for LotusX databases.
+"""On-disk persistence for LotusX databases: the snapshot file.
 
-Two formats live here:
-
-**Snapshot files** (the fast path) — a single versioned, checksummed file
-holding the fully built database: the document tree, the labeled-element
-store (region / Dewey / extended-Dewey labels), the DataGuide and
-child-tag tables, the inverted term index, and every completion trie.
+A snapshot is a single versioned, checksummed file holding the fully
+built database: the document tree, the labeled-element store (region
+labels plus DataGuide path ids), the DataGuide, the inverted term index,
+the completion tries, and the columnar label streams.
 :func:`load_snapshot` verifies integrity up front and then *materializes
 sections lazily*, so a server warm-starts in milliseconds and pays for
 each index the first time a query touches it (or all at once via
 ``eager=True`` / :meth:`LotusXDatabase.warm`).  Nothing is re-parsed and
 nothing is re-derived — loading skips XML parsing and index construction
-entirely.
+entirely.  ``lotusx index`` is the command that writes one.
 
-Snapshot file layout, format version 3 (framing integers big-endian)::
+Snapshot file layout, format version 4 (framing integers big-endian)::
 
     6 bytes   magic  b"LXSNAP"
     2 bytes   format version
@@ -37,25 +35,29 @@ postings (``terms.raw``), completion arrays (``completion.raw`` /
 mapping: warm start is O(header), nothing is inflated, and forked shard
 workers plus co-hosted replicas share the OS page cache.  Cold object
 sections (the document tree, the label store / DataGuide) keep the
-zlib-pickle path.  Versions 1 and 2 (all-zpickle, no header digest, no
-alignment) still load byte-identically through the copying reader.
+zlib-pickle path.
+
+Version 3 has the same framing; its ``labels`` section additionally
+carries two retired label columns and a pickled child-tag table, which
+the reader skips.  It stays readable so that existing writable
+checkpoints (snapshot + WAL) still open.  Versions 1 and 2 are refused
+with :class:`SnapshotVersionError`: re-run ``lotusx index`` on the
+corpus.
 
 Integrity: full-file loads check magic → trailing digest → version →
-header, exactly as before.  Mapped loads cannot afford an O(file) hash
-at open, so they check magic → version → *header digest* → header, and
-then verify each section's recorded SHA-256 once, lazily, when it is
-first read (full-file loads verify sections the same way, for one
-corruption taxonomy).  Corruption surfaces as
-:class:`SnapshotIntegrityError`, a genuinely different version as
-:class:`SnapshotVersionError`, a non-snapshot file as
-:class:`SnapshotFormatError`, and an mmap request a file cannot satisfy
-(with ``mmap="require"``) as :class:`SnapshotMmapError`.  Section
-pickles are decoded by a restricted unpickler that only resolves
+header.  Mapped loads cannot afford an O(file) hash at open, so they
+check magic → version → *header digest* → header, and then verify each
+section's recorded SHA-256 once, lazily, when it is first read
+(full-file loads verify sections the same way, for one corruption
+taxonomy).  Corruption surfaces as :class:`SnapshotIntegrityError`, an
+unsupported version as :class:`SnapshotVersionError`, a non-snapshot
+file as :class:`SnapshotFormatError`, and an mmap request a file cannot
+satisfy (with ``mmap="require"``) as :class:`SnapshotMmapError`.
+Section pickles are decoded by a restricted unpickler that only resolves
 ``repro.*`` classes.
 
-**Store directories** (the legacy verified-rebuild path) — a directory of
-document XML + JSON summaries; loading re-runs the index build and
-verifies the rebuilt summaries against the stored ones.
+A sharded corpus is a directory of snapshot files plus a JSON manifest
+(:func:`save_sharded_snapshot` / :func:`load_sharded_snapshot`).
 """
 
 from __future__ import annotations
@@ -76,39 +78,22 @@ from pathlib import Path
 
 from repro.autocomplete.engine import AutocompleteEngine
 from repro.engine.database import LotusXDatabase
-from repro.index.columnar import (
-    decode_columnar,
-    decode_columnar_raw,
-    encode_columnar,
-    encode_columnar_raw,
-)
+from repro.index.columnar import decode_columnar_raw, encode_columnar_raw
 from repro.index.completion_index import CompletionIndex
 from repro.index.element_index import StreamFactory
-from repro.index.packed import PackedTrie, pack_items, rmq_table_length
+from repro.index.packed import PackedTrie, rmq_table_length
 from repro.index.statistics import compute_statistics
 from repro.index.term_index import TermIndex, _PostingList
 from repro.labeling.assign import LabeledDocument, LabeledElement
-from repro.labeling.dewey import Dewey
-from repro.labeling.extended_dewey import ExtendedDewey
 from repro.labeling.region import Region
 from repro.ranking.scorer import LotusXScorer
 from repro.rewrite.engine import QueryRewriter
 from repro.rewrite.rules import default_rules
-from repro.summary.paths import format_path
-from repro.xmlio.builder import parse_string
-from repro.xmlio.serializer import serialize
 from repro.xmlio.tree import Document
-
-FORMAT_VERSION = 1
-
-_MANIFEST = "manifest.json"
-_DOCUMENT = "document.xml"
-_DATAGUIDE = "dataguide.json"
-_CHILD_TABLE = "child_table.json"
 
 
 class StoreError(RuntimeError):
-    """A saved database directory is missing, corrupt, or incompatible."""
+    """Persisted database state is missing, corrupt, or incompatible."""
 
 
 # ======================================================================
@@ -116,16 +101,14 @@ class StoreError(RuntimeError):
 # ======================================================================
 
 SNAPSHOT_MAGIC = b"LXSNAP"
-#: Version written by :func:`save_snapshot`.  Version 2 added the
-#: optional ``columnar`` section (per-tag label arrays); version 3 moved
-#: the hot sections to raw, 8-byte-aligned, uncompressed byte ranges
-#: (mmap-able through ``memoryview``) and added the header digest.
-SNAPSHOT_VERSION = 3
-#: Versions :func:`load_snapshot` accepts.  Version 1 snapshots load
-#: fine — they simply have no columnar section, so the database builds
-#: its columns from the labels on first use.  Version 2 snapshots load
-#: through the copying reader exactly as before (``mmap=True`` falls back).
-SUPPORTED_SNAPSHOT_VERSIONS = frozenset({1, 2, 3})
+#: Version written by :func:`save_snapshot`.  Version 3 introduced the
+#: raw, 8-byte-aligned hot sections (mmap-able through ``memoryview``)
+#: and the header digest; version 4 dropped two retired label columns
+#: and the child-tag table from the ``labels`` section.
+SNAPSHOT_VERSION = 4
+#: Versions :func:`load_snapshot` accepts.  A version 3 file reads like a
+#: version 4 one; the extra ``labels`` entries are skipped.
+SUPPORTED_SNAPSHOT_VERSIONS = frozenset({3, SNAPSHOT_VERSION})
 
 #: magic(6) + version(2) + flags(2) + header length(4)
 _PREFIX = struct.Struct(">6sHHI")
@@ -138,7 +121,7 @@ _I64_SIZE = array(_I64).itemsize
 #: Chunk size for streamed trailer verification.
 _STREAM_CHUNK = 1 << 20
 
-#: Format tags inside the v3 raw-section directories.
+#: Format tags inside the raw-section directories.
 TERMS_RAW_FORMAT = 1
 COMPLETION_RAW_FORMAT = 1
 
@@ -161,7 +144,7 @@ class SnapshotIntegrityError(SnapshotError):
 
 class SnapshotMmapError(SnapshotError):
     """``mmap="require"`` was asked of a snapshot that cannot be served
-    zero-copy (pre-v3 format, or a foreign byte layout)."""
+    zero-copy (its hot sections use a foreign byte layout)."""
 
 
 @dataclass(frozen=True)
@@ -193,28 +176,13 @@ class SnapshotInfo:
 _ALLOWED_GLOBALS = {("collections", "OrderedDict")}
 
 
-class _LegacyTrie:
-    """Unpickle shim for the node tries that v1/v2 snapshots written
-    before the packed build hold in their ``completion`` section.
-
-    Such a trie was pickled as ``repro.index.trie.Trie`` with the state
-    ``(root, size)``, every node a ``[weight, best, {char: child}]``
-    list.  :func:`_decode_completion` packs its :meth:`items` on read;
-    nothing ever serves from one.
-    """
+class _DiscardedV3State:
+    """Unpickle stand-in for the child-tag table a v3 ``labels`` payload
+    carries (its class no longer exists).  The state is dropped; nothing
+    reads it."""
 
     def __setstate__(self, state) -> None:
-        self._root = state[0]
-
-    def items(self):
-        """``(key, weight)`` pairs in lexicographic order."""
-        stack = [("", self._root)]
-        while stack:
-            key, (weight, _, children) = stack.pop()
-            if weight > 0:
-                yield key, weight
-            for ch in sorted(children, reverse=True):
-                stack.append((key + ch, children[ch]))
+        pass
 
 
 class _SnapshotUnpickler(pickle.Unpickler):
@@ -226,8 +194,8 @@ class _SnapshotUnpickler(pickle.Unpickler):
     """
 
     def find_class(self, module: str, name: str):
-        if (module, name) == ("repro.index.trie", "Trie"):
-            return _LegacyTrie
+        if (module, name) == ("repro.summary.child_table", "ChildTagTable"):
+            return _DiscardedV3State
         if module == "repro" or module.startswith("repro."):
             return super().find_class(module, name)
         if (module, name) in _ALLOWED_GLOBALS:
@@ -278,8 +246,6 @@ def _encode_labels(labeled: LabeledDocument) -> dict:
     starts: list[int] = []
     ends: list[int] = []
     levels: list[int] = []
-    deweys: list[tuple[int, ...]] = []
-    xdeweys: list[tuple[int, ...]] = []
     path_ids: list[int] = []
     parent_orders: list[int] = []
     for le in labeled.elements:
@@ -287,31 +253,27 @@ def _encode_labels(labeled: LabeledDocument) -> dict:
         starts.append(region.start)
         ends.append(region.end)
         levels.append(region.level)
-        deweys.append(le.dewey.components)
-        xdeweys.append(le.xdewey.components)
         path_ids.append(le.path_node.node_id)
         parent_orders.append(le.parent.order if le.parent is not None else -1)
     return {
         "starts": starts,
         "ends": ends,
         "levels": levels,
-        "deweys": deweys,
-        "xdeweys": xdeweys,
         "path_ids": path_ids,
         "parent_orders": parent_orders,
         "guide": labeled.guide,
-        "child_table": labeled.child_table,
     }
 
 
 def _decode_labels(payload: dict, document: Document) -> LabeledDocument:
+    """Inflate a ``labels`` payload over ``document``.  Keys a v3 payload
+    carries beyond these are ignored."""
     guide = payload["guide"]
     starts = payload["starts"]
     ends = payload["ends"]
     levels = payload["levels"]
-    deweys = payload["deweys"]
-    xdeweys = payload["xdeweys"]
     path_ids = payload["path_ids"]
+    parent_orders = payload["parent_orders"]
 
     tree_elements = list(document.iter())
     if len(tree_elements) != len(starts):
@@ -320,111 +282,27 @@ def _decode_labels(payload: dict, document: Document) -> LabeledDocument:
             f"({len(starts)} labels, {len(tree_elements)} elements)"
         )
 
-    # Hot loop over every element: bypass the label constructors (their
-    # validation already held when the snapshot was written) and attach
-    # components with object.__setattr__, dodging the immutability guard.
-    new = object.__new__
-    setattr_raw = object.__setattr__
     node_of = guide.node
     elements: list[LabeledElement] = []
     append = elements.append
     for i, element in enumerate(tree_elements):
-        dewey = new(Dewey)
-        setattr_raw(dewey, "components", deweys[i])
-        xdewey = new(ExtendedDewey)
-        setattr_raw(xdewey, "components", xdeweys[i])
         append(
             LabeledElement(
                 element,
                 i,
                 Region(starts[i], ends[i], levels[i]),
-                dewey,
-                xdewey,
                 node_of(path_ids[i]),
                 None,
             )
         )
-    for i, parent_order in enumerate(payload["parent_orders"]):
+    for i, parent_order in enumerate(parent_orders):
         if parent_order >= 0:
             elements[i].parent = elements[parent_order]
-    return LabeledDocument(document, guide, payload["child_table"], elements)
-
-
-def _encode_terms(index: TermIndex) -> dict:
-    return {
-        "postings": {
-            term: (plist.orders, plist.tfs)
-            for term, plist in index._postings.items()
-        },
-        "values": index._value_postings,
-        "numeric": index._numeric,
-        "token_counts": index._token_counts,
-        "subtree_end": index._subtree_end,
-        "total_tokens": index._total_tokens,
-    }
-
-
-def _decode_terms(payload: dict) -> TermIndex:
-    index = object.__new__(TermIndex)
-    postings: dict[str, _PostingList] = {}
-    for term, (orders, tfs) in payload["postings"].items():
-        plist = object.__new__(_PostingList)
-        plist.orders = orders
-        plist.tfs = tfs
-        postings[term] = plist
-    index._postings = postings
-    index._value_postings = payload["values"]
-    index._numeric = payload["numeric"]
-    index._token_counts = payload["token_counts"]
-    index._subtree_end = payload["subtree_end"]
-    index._total_tokens = payload["total_tokens"]
-    return index
-
-
-def _encode_completion(index: CompletionIndex) -> dict:
-    """The v2 ``completion`` payload: every trie as its sorted
-    ``(key, weight)`` list (plain containers, like the other sections)."""
-
-    def items(trie: PackedTrie) -> list[tuple[str, int]]:
-        return list(trie.items())
-
-    return {
-        "tag": items(index.tag_trie),
-        "global_token": items(index.global_token_trie),
-        "global_value": items(index.global_value_trie),
-        "path_token": {
-            pid: items(trie) for pid, trie in index._path_token_tries.items()
-        },
-        "path_value": {
-            pid: items(trie) for pid, trie in index._path_value_tries.items()
-        },
-    }
-
-
-def _decode_completion(payload: dict) -> CompletionIndex:
-    """Pack a v1/v2 ``completion`` payload, whose tries are item lists
-    or (files older than the packed build) pickled node tries."""
-
-    def packed(stored) -> PackedTrie:
-        if isinstance(stored, _LegacyTrie):
-            stored = stored.items()
-        return PackedTrie(*pack_items(stored))
-
-    index = object.__new__(CompletionIndex)
-    index.tag_trie = packed(payload["tag"])
-    index.global_token_trie = packed(payload["global_token"])
-    index.global_value_trie = packed(payload["global_value"])
-    index._path_token_tries = {
-        pid: packed(stored) for pid, stored in payload["path_token"].items()
-    }
-    index._path_value_tries = {
-        pid: packed(stored) for pid, stored in payload["path_value"].items()
-    }
-    return index
+    return LabeledDocument(document, guide, elements)
 
 
 # ----------------------------------------------------------------------
-# Raw (v3) hot-section codecs
+# Raw hot-section codecs
 #
 # Each hot section splits into a small pickled *directory* (dict of
 # names → int64 offsets/counts into the raw blob) and one contiguous
@@ -668,7 +546,6 @@ def save_snapshot(
     seqno: int = 0,
     document_ids: tuple[str, ...] | list[str] | None = None,
     *,
-    version: int = SNAPSHOT_VERSION,
     _force_byteorder: str | None = None,
 ) -> SnapshotInfo:
     """Write ``database`` to a single snapshot file at ``path``.
@@ -684,17 +561,10 @@ def save_snapshot(
     ``document_ids`` preserves the writer's top-level id namespace
     across the checkpoint (WAL updates/deletes address documents by id).
 
-    ``version=2`` writes the previous all-zpickle format (compatibility
-    fixtures and A/B benchmarks); the default v3 lays the hot sections
-    out as raw aligned buffers so ``mmap=True`` loads are zero-copy.
-    ``_force_byteorder`` fabricates a foreign-endian v3 file (tests
-    only).
+    The hot sections are laid out as raw aligned buffers so
+    ``mmap=True`` loads are zero-copy.  ``_force_byteorder`` fabricates a
+    foreign-endian file (tests only).
     """
-    if version == 2:
-        return _save_snapshot_v2(database, path, seqno, document_ids)
-    if version != SNAPSHOT_VERSION:
-        raise ValueError(f"cannot write snapshot version {version!r}")
-
     database = database.warm()
     byteorder = _force_byteorder or sys.byteorder
 
@@ -800,71 +670,6 @@ def save_snapshot(
     )
 
 
-def _save_snapshot_v2(
-    database: LotusXDatabase,
-    path: str | os.PathLike[str],
-    seqno: int = 0,
-    document_ids: tuple[str, ...] | list[str] | None = None,
-) -> SnapshotInfo:
-    """The format-2 writer (all sections zlib-pickled, no alignment)."""
-    database = database.warm()
-    sections: list[tuple[str, bytes]] = [
-        ("document", _dumps_section(database.document))
-    ]
-    if database.labeled.document is not database.document:
-        sections.append(
-            ("indexed_document", _dumps_section(database.labeled.document))
-        )
-    sections.append(("labels", _dumps_section(_encode_labels(database.labeled))))
-    sections.append(("terms", _dumps_section(_encode_terms(database.term_index))))
-    sections.append(
-        ("completion", _dumps_section(_encode_completion(database.completion_index)))
-    )
-    sections.append(
-        ("columnar", _dumps_section(encode_columnar(database.streams.columnar)))
-    )
-
-    meta = _snapshot_meta(database, seqno, document_ids)
-
-    table = []
-    offset = 0
-    for name, blob in sections:
-        table.append(
-            {
-                "name": name,
-                "offset": offset,
-                "length": len(blob),
-                "sha256": hashlib.sha256(blob).hexdigest(),
-            }
-        )
-        offset += len(blob)
-    header = json.dumps(
-        {"sections": table, "meta": meta}, sort_keys=True
-    ).encode("utf-8")
-
-    buffer = bytearray()
-    buffer += _PREFIX.pack(SNAPSHOT_MAGIC, 2, 0, len(header))
-    buffer += header
-    for _, blob in sections:
-        buffer += blob
-    digest = hashlib.sha256(buffer).digest()
-    buffer += digest
-
-    target = _write_atomic(path, buffer)
-    return SnapshotInfo(
-        path=str(target),
-        version=2,
-        size_bytes=len(buffer),
-        element_count=meta["element_count"],
-        path_count=meta["path_count"],
-        expand_attributes=meta["expand_attributes"],
-        section_sizes={entry["name"]: entry["length"] for entry in table},
-        sha256=digest.hex(),
-        seqno=int(seqno),
-        document_ids=tuple(document_ids) if document_ids is not None else None,
-    )
-
-
 # ----------------------------------------------------------------------
 # Reading
 # ----------------------------------------------------------------------
@@ -905,16 +710,14 @@ def _check_version(version: int, source: str) -> None:
         )
         raise SnapshotVersionError(
             f"{source}: unsupported snapshot version {version} "
-            f"(this build reads versions {supported})"
+            f"(this build reads versions {supported}); re-run "
+            "`lotusx index` on the corpus to write a current snapshot"
         )
 
 
-def _data_start(version: int, header_length: int) -> int:
-    # v3 inserts a header digest between the header and the data area.
-    start = _PREFIX.size + header_length
-    if version >= 3:
-        start += _DIGEST_SIZE
-    return start
+def _data_start(header_length: int) -> int:
+    # A header digest sits between the header and the data area.
+    return _PREFIX.size + header_length + _DIGEST_SIZE
 
 
 def _verify_snapshot_bytes(data, source: str) -> tuple[dict, int, int]:
@@ -933,7 +736,7 @@ def _verify_snapshot_bytes(data, source: str) -> tuple[dict, int, int]:
     _check_version(version, source)
     header_start = _PREFIX.size
     header_end = header_start + header_length
-    data_start = _data_start(version, header_length)
+    data_start = _data_start(header_length)
     if data_start > len(data) - _DIGEST_SIZE:
         raise SnapshotFormatError(f"{source}: header overruns the file")
     header = _parse_header(data[header_start:header_end], source)
@@ -999,7 +802,7 @@ def _stream_verify_snapshot(
     header = _parse_header(b"".join(header_parts), source)
     _validate_sections(
         header["sections"],
-        _data_start(version, header_length),
+        _data_start(header_length),
         size - _DIGEST_SIZE,
         source,
     )
@@ -1125,12 +928,10 @@ class MappedSnapshot:
         self._closed = True
 
 
-def _verify_mapped_snapshot(buf: memoryview, source: str):
-    """Header-only verification for a mapped v3 snapshot.
+def _verify_mapped_snapshot(buf: memoryview, source: str) -> tuple[dict, int, int]:
+    """Header-only verification for a mapped snapshot; returns
+    ``(header, data_start, version)``.
 
-    Returns ``(header, data_start, version)`` for a v3+ file, or
-    ``None`` for an older version (the caller falls back to the
-    byte-reading path, which applies the full v1/v2 check order).
     Unlike :func:`_verify_snapshot_bytes` this never touches the data
     area — that is the whole point of the mapped mode — so integrity of
     the hot sections is enforced lazily, per section, on first access.
@@ -1140,11 +941,9 @@ def _verify_mapped_snapshot(buf: memoryview, source: str):
     if len(buf) < _PREFIX.size + _DIGEST_SIZE:
         raise SnapshotIntegrityError(f"{source}: snapshot is truncated")
     _, version, _flags, header_length = _PREFIX.unpack_from(buf)
-    if version < 3:
-        return None
     _check_version(version, source)
     header_end = _PREFIX.size + header_length
-    data_start = header_end + _DIGEST_SIZE
+    data_start = _data_start(header_length)
     if data_start > len(buf) - _DIGEST_SIZE:
         raise SnapshotFormatError(f"{source}: header overruns the file")
     digest = hashlib.sha256(buf[:header_end]).digest()
@@ -1195,13 +994,10 @@ class _SnapshotReader:
         return cls(header, data_start, version, data, source)
 
     @classmethod
-    def from_mapping(
-        cls, mapping: MappedSnapshot, source: str
-    ) -> _SnapshotReader | None:
-        verified = _verify_mapped_snapshot(mapping.view(), source)
-        if verified is None:
-            return None
-        header, data_start, version = verified
+    def from_mapping(cls, mapping: MappedSnapshot, source: str) -> _SnapshotReader:
+        header, data_start, version = _verify_mapped_snapshot(
+            mapping.view(), source
+        )
         return cls(
             header, data_start, version, mapping.view(), source, mapping
         )
@@ -1239,8 +1035,8 @@ class _SnapshotReader:
         return blob if isinstance(blob, memoryview) else memoryview(blob)
 
 
-# Columnar sentinel: the snapshot has no columnar section (v1), or one
-# this platform's array layout cannot decode — rebuild from the labels.
+# Columnar sentinel: the columnar section uses an array layout this
+# platform cannot decode — rebuild from the labels.
 _REBUILD = object()
 
 
@@ -1295,49 +1091,49 @@ class _SnapshotDatabase(LotusXDatabase):
             tree = self._reader.payload("indexed_document")
         else:
             tree = self.document
-        return _decode_labels(self._reader.payload("labels"), tree)
+        try:
+            return _decode_labels(self._reader.payload("labels"), tree)
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            raise SnapshotFormatError(
+                f"snapshot labels section is inconsistent: {exc}"
+            ) from exc
 
     @property
     def term_index(self) -> TermIndex:
         return self._part("term_index", self._build_term_index)
 
     def _build_term_index(self) -> TermIndex:
-        if self._reader.has("terms.raw"):
-            try:
-                index = _decode_terms_raw(
-                    self._reader.payload("terms"), self._reader.raw("terms.raw")
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SnapshotFormatError(
-                    f"snapshot terms section is inconsistent: {exc}"
-                ) from exc
-            if index is not None:
-                return index
-            # Foreign array layout with no carried arrays we can adopt
-            # cheaply in full: rebuild from the labels.
+        try:
+            index = _decode_terms_raw(
+                self._reader.payload("terms"), self._reader.raw("terms.raw")
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SnapshotFormatError(
+                f"snapshot terms section is inconsistent: {exc}"
+            ) from exc
+        if index is None:
+            # Foreign array layout: rebuild from the labels.
             return TermIndex(self.labeled)
-        return _decode_terms(self._reader.payload("terms"))
+        return index
 
     @property
     def completion_index(self) -> CompletionIndex:
         return self._part("completion_index", self._build_completion_index)
 
     def _build_completion_index(self) -> CompletionIndex:
-        if self._reader.has("completion.raw"):
-            try:
-                index = _decode_completion_raw(
-                    self._reader.payload("completion"),
-                    self._reader.raw("completion.raw"),
-                    self._reader.raw("completion.keys"),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SnapshotFormatError(
-                    f"snapshot completion section is inconsistent: {exc}"
-                ) from exc
-            if index is not None:
-                return index
+        try:
+            index = _decode_completion_raw(
+                self._reader.payload("completion"),
+                self._reader.raw("completion.raw"),
+                self._reader.raw("completion.keys"),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SnapshotFormatError(
+                f"snapshot completion section is inconsistent: {exc}"
+            ) from exc
+        if index is None:
             return CompletionIndex(self.labeled, self.term_index)
-        return _decode_completion(self._reader.payload("completion"))
+        return index
 
     @property
     def streams(self) -> StreamFactory:
@@ -1354,23 +1150,16 @@ class _SnapshotDatabase(LotusXDatabase):
 
     def _load_columnar(self):
         try:
-            if self._reader.has("columnar.raw"):
-                index = decode_columnar_raw(
-                    self._reader.payload("columnar"),
-                    self._reader.raw("columnar.raw"),
-                    self._columnar_elements,
-                )
-                return index if index is not None else _REBUILD
-            if self._reader.has("columnar"):
-                index = decode_columnar(
-                    self._reader.payload("columnar"), self.labeled
-                )
-                return index if index is not None else _REBUILD
+            index = decode_columnar_raw(
+                self._reader.payload("columnar"),
+                self._reader.raw("columnar.raw"),
+                self._columnar_elements,
+            )
         except ValueError as exc:
             raise SnapshotFormatError(
                 f"snapshot columnar section is inconsistent: {exc}"
             ) from exc
-        return _REBUILD
+        return _REBUILD if index is None else index
 
     def _load_streams(self) -> StreamFactory:
         columnar = self._columnar_part()
@@ -1407,7 +1196,7 @@ class _SnapshotDatabase(LotusXDatabase):
 
     def warm_hot(self) -> LotusXDatabase:
         """Materialize only the *hot* query-path sections (term postings,
-        completion tries, columnar streams).  On an mmap-backed v3
+        completion tries, columnar streams).  On an mmap-backed
         snapshot this is O(header) work — no document tree, no label
         store, no byte copies — which is the whole zero-copy warm-start
         story."""
@@ -1472,14 +1261,14 @@ def load_snapshot(
     :meth:`LotusXDatabase.warm` — to inflate everything immediately,
     e.g. before putting a server into rotation).
 
-    With ``mmap=True`` a v3 snapshot is mapped instead of read: only the
+    With ``mmap=True`` the snapshot is mapped instead of read: only the
     header is verified up front (each section's SHA-256 is checked the
     first time it is touched), and the hot sections are served as
     ``memoryview`` slices of the mapping — zero copies, and forked
     workers or co-hosted processes share one set of physical pages.
-    When the file cannot be served zero-copy (a pre-v3 version, or hot
-    sections written with a foreign byte layout) the call silently falls
-    back to the copying loader; pass ``mmap="require"`` to get a
+    When the file cannot be served zero-copy (hot sections written with
+    a foreign byte layout) the call silently falls back to the copying
+    loader; pass ``mmap="require"`` to get a
     :class:`SnapshotMmapError` instead of the fallback.
 
     Raises
@@ -1489,7 +1278,8 @@ def load_snapshot(
     SnapshotIntegrityError
         Truncated or corrupted file (checksum mismatch).
     SnapshotVersionError
-        A format version this build does not support.
+        A format version this build does not read (1 and 2: re-run
+        ``lotusx index``).
     SnapshotMmapError
         ``mmap="require"`` and the file cannot be served zero-copy.
     """
@@ -1498,20 +1288,16 @@ def load_snapshot(
         mapping = MappedSnapshot(path)
         try:
             reader = _SnapshotReader.from_mapping(mapping, source)
-            reason = None
-            if reader is None:
-                reason = "snapshot version predates the mmap layout (v3)"
-            elif not _raw_layout_native(reader.meta):
-                reader = None
-                reason = "hot sections use a foreign byte layout"
-            if reader is None and mmap == "require":
+            native = _raw_layout_native(reader.meta)
+            if not native and mmap == "require":
                 raise SnapshotMmapError(
-                    f"{source}: cannot serve zero-copy — {reason}"
+                    f"{source}: cannot serve zero-copy — "
+                    "hot sections use a foreign byte layout"
                 )
         except BaseException:
             mapping.decref()
             raise
-        if reader is not None:
+        if native:
             return _database_from_reader(reader, scorer, eager)
         mapping.decref()
     data = _read_snapshot_file(path)
@@ -1720,101 +1506,8 @@ def load_sharded_snapshot(
 
 
 # ======================================================================
-# Legacy directory store (verified rebuild)
+# JSON helpers (sharded snapshot manifest)
 # ======================================================================
-
-
-def save_database(database: LotusXDatabase, directory: str | os.PathLike[str]) -> None:
-    """Write ``database`` to ``directory`` (created if needed)."""
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-
-    xml_text = serialize(database.document, xml_declaration=True)
-    (path / _DOCUMENT).write_text(xml_text, encoding="utf-8")
-
-    guide_entries = [
-        {
-            "path": format_path(node.path),
-            "count": node.count,
-            "text_count": node.text_count,
-        }
-        for node in database.guide.iter_nodes()
-    ]
-    _write_json(path / _DATAGUIDE, guide_entries)
-
-    child_entries = [
-        {"tag": tag, "children": list(children)}
-        for tag, children in database.labeled.child_table.items()
-    ]
-    _write_json(path / _CHILD_TABLE, child_entries)
-
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "document_sha256": hashlib.sha256(xml_text.encode("utf-8")).hexdigest(),
-        "expand_attributes": database.expanded_attributes,
-        "element_count": len(database.labeled),
-        "path_count": len(database.guide),
-        "statistics": compute_statistics(
-            database.labeled, database.term_index
-        ).as_dict(),
-    }
-    _write_json(path / _MANIFEST, manifest)
-
-
-def load_database(directory: str | os.PathLike[str], **kwargs) -> LotusXDatabase:
-    """Load a database saved with :func:`save_database`.
-
-    Raises
-    ------
-    StoreError
-        On a missing/incompatible manifest, checksum mismatch, or any
-        inconsistency between stored and rebuilt summaries.
-    """
-    path = Path(directory)
-    manifest = _read_json(path / _MANIFEST)
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise StoreError(
-            f"unsupported store format {version!r} (expected {FORMAT_VERSION})"
-        )
-
-    try:
-        xml_text = (path / _DOCUMENT).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise StoreError(f"cannot read {_DOCUMENT}: {exc}") from exc
-    digest = hashlib.sha256(xml_text.encode("utf-8")).hexdigest()
-    if digest != manifest.get("document_sha256"):
-        raise StoreError("document checksum mismatch — the store is corrupt")
-
-    kwargs.setdefault(
-        "expand_attributes", bool(manifest.get("expand_attributes", False))
-    )
-    database = LotusXDatabase(parse_string(xml_text, source_name=str(path)), **kwargs)
-
-    if len(database.labeled) != manifest.get("element_count"):
-        raise StoreError("element count mismatch after rebuild")
-    _verify_dataguide(database, _read_json(path / _DATAGUIDE))
-    _verify_child_table(database, _read_json(path / _CHILD_TABLE))
-    return database
-
-
-def _verify_dataguide(database: LotusXDatabase, entries: list[dict]) -> None:
-    stored = {
-        entry["path"]: (entry["count"], entry["text_count"]) for entry in entries
-    }
-    rebuilt = {
-        format_path(node.path): (node.count, node.text_count)
-        for node in database.guide.iter_nodes()
-    }
-    if stored != rebuilt:
-        raise StoreError("DataGuide mismatch after rebuild — the store is corrupt")
-
-
-def _verify_child_table(database: LotusXDatabase, entries: list[dict]) -> None:
-    stored = {entry["tag"]: tuple(entry["children"]) for entry in entries}
-    rebuilt = dict(database.labeled.child_table.items())
-    if stored != rebuilt:
-        raise StoreError("child-table mismatch after rebuild — the store is corrupt")
 
 
 def _write_json(path: Path, payload) -> None:

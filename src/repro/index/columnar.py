@@ -10,10 +10,10 @@ kernels compare raw integers, keep their cursors as plain ints, and only
 materialize :class:`LabeledElement` objects for elements that actually
 enter a path solution.
 
-``path_ids`` is the columnar stand-in for the extended Dewey label: two
-elements share a path id exactly when they share their whole root-to-leaf
-tag path (the DataGuide invariant), so DataGuide stream pruning is a
-single int compare per element instead of a tag-path decode.
+``path_ids`` carries each element's DataGuide path node id: two elements
+share a path id exactly when they share their whole root-to-element tag
+path (the DataGuide invariant), so DataGuide stream pruning is a single
+int compare per element.
 
 :meth:`ColumnarStream.seek_ge` is the skip pointer: galloping followed by
 binary search over the (strictly increasing) ``starts`` column, so join
@@ -22,12 +22,9 @@ Only ``starts`` is monotone within a stream — ``ends`` interleave under
 nesting — which is why every skip in the algorithms is phrased as "first
 element starting at or after X".
 
-The whole index serializes to flat bytes (``array.tobytes``), giving
-snapshots a C-speed load path; see :func:`encode_columnar` /
-:func:`decode_columnar`.  Snapshot format v3 goes further: the columns
-are stored as one raw, 8-byte-aligned section and served back as
-``memoryview`` slices of the snapshot's mmap — no copy at all — via
-:func:`encode_columnar_raw` / :func:`decode_columnar_raw`.  A
+Snapshots store the columns as one raw, 8-byte-aligned section and serve
+them back as ``memoryview`` slices of the snapshot's mmap — no copy at
+all — via :func:`encode_columnar_raw` / :func:`decode_columnar_raw`.  A
 view-backed stream is read-only; the single in-place mutation the write
 path performs (:meth:`ColumnarIndex.rewiden_root`) copies the affected
 ``ends`` column into a mutable ``array`` first (copy-on-write).
@@ -46,11 +43,8 @@ from repro.labeling.assign import LabeledDocument, LabeledElement
 #: region label (labels are bounded by 2 * element count).
 INF_INT = 1 << 62
 
-#: Version tag inside the encoded payload (independent of the snapshot
-#: container version).
-COLUMNAR_FORMAT = 1
-
-#: Version tag inside the v3 raw payload directory.
+#: Version tag inside the raw payload directory (independent of the
+#: snapshot container version).
 COLUMNAR_RAW_FORMAT = 1
 
 _TYPECODE = "q"
@@ -268,104 +262,12 @@ def _patch_end(stream: ColumnarStream, end: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# Snapshot (de)serialization
+# Snapshot serialization
 #
-# Columns dump to raw bytes; loading is a memcpy per column instead of a
-# Python-level loop over every element, which is what makes persisting
-# the columnar section worthwhile on top of the label section.
-# ----------------------------------------------------------------------
-
-
-def _pack(stream: ColumnarStream) -> tuple[bytes, bytes, bytes, bytes]:
-    return (
-        stream.starts.tobytes(),
-        stream.ends.tobytes(),
-        stream.levels.tobytes(),
-        stream.path_ids.tobytes(),
-    )
-
-
-def encode_columnar(index: ColumnarIndex) -> dict:
-    """Plain-container payload for the snapshot's ``columnar`` section."""
-    return {
-        "format": COLUMNAR_FORMAT,
-        "typecode": _TYPECODE,
-        "itemsize": array(_TYPECODE).itemsize,
-        "byteorder": sys.byteorder,
-        "tags": {tag: _pack(stream) for tag, stream in index._by_tag.items()},
-        "all": _pack(index._all),
-    }
-
-
-def _unpack(
-    blobs: tuple[bytes, bytes, bytes, bytes],
-    elements: Sequence[LabeledElement],
-    swap: bool,
-    context: str,
-) -> ColumnarStream:
-    columns = []
-    for blob in blobs:
-        column = array(_TYPECODE)
-        column.frombytes(blob)
-        if swap:
-            column.byteswap()
-        columns.append(column)
-    if any(len(column) != len(elements) for column in columns):
-        raise ValueError(
-            f"columnar section for {context} has {len(columns[0])} rows,"
-            f" label store has {len(elements)}"
-        )
-    return ColumnarStream(*columns, elements)
-
-
-def decode_columnar(payload: dict, labeled: LabeledDocument) -> ColumnarIndex | None:
-    """Rebuild a :class:`ColumnarIndex` from an encoded payload.
-
-    Object columns (``elements``) come from the already-loaded label
-    store — the arrays must line up with it row for row, which doubles as
-    a consistency check.  Returns ``None`` when the writing platform's
-    array layout cannot be mapped onto this one (the caller then rebuilds
-    from the labels instead of failing the load).
-
-    Raises
-    ------
-    ValueError
-        If the payload is malformed or inconsistent with ``labeled``.
-    """
-    if not isinstance(payload, dict):
-        raise ValueError("columnar payload is not a mapping")
-    if payload.get("format") != COLUMNAR_FORMAT:
-        return None
-    if (
-        payload.get("typecode") != _TYPECODE
-        or payload.get("itemsize") != array(_TYPECODE).itemsize
-    ):
-        return None
-    swap = payload.get("byteorder") != sys.byteorder
-    tags_payload = payload["tags"]
-    known_tags = labeled.tags()
-    if set(tags_payload) != known_tags:
-        raise ValueError(
-            "columnar section tags do not match the label store"
-            f" ({len(tags_payload)} stored, {len(known_tags)} labeled)"
-        )
-    by_tag = {
-        tag: _unpack(blobs, labeled.stream(tag), swap, f"tag {tag!r}")
-        for tag, blobs in tags_payload.items()
-    }
-    all_stream = _unpack(payload["all"], labeled.elements, swap, "wildcard")
-    return ColumnarIndex(by_tag, all_stream)
-
-
-# ----------------------------------------------------------------------
-# Raw (v3 / zero-copy) serialization
-#
-# The v2 codec above stores one bytes object per column inside a pickled
-# payload — loading still allocates a fresh array per column.  The v3
-# codec splits the index into a tiny pickled *directory* (per-stream row
-# counts and int64 offsets) and one contiguous raw byte blob that the
-# snapshot writes 8-byte-aligned and uncompressed, so a mapped load can
-# serve every column as a memoryview slice without touching the bytes.
+# The index splits into a tiny pickled *directory* (per-stream row counts
+# and int64 offsets) and one contiguous raw byte blob that the snapshot
+# writes 8-byte-aligned and uncompressed, so a mapped load can serve
+# every column as a memoryview slice without touching the bytes.
 # ----------------------------------------------------------------------
 
 

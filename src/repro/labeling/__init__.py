@@ -1,30 +1,20 @@
-"""Position labels: region encoding, Dewey, and extended Dewey.
+"""Position labels: region encoding plus DataGuide path identity.
 
 Labels give every structural question an O(1) answer:
 
 * region labels decide ancestor/parent/order relations between any two
   elements without touching the tree;
-* Dewey labels expose the full ancestor path and LCAs;
-* extended Dewey labels additionally encode the *tag path*, so the path to
-  a leaf can be recovered from the label alone (TJFast).
+* each element's DataGuide path node names its root-to-element tag path,
+  so position-aware completion and stream pruning compare one path id
+  instead of walking ancestors.
 
-:func:`label_document` assigns all three in one traversal.
+:func:`label_document` assigns both in one traversal.
 """
 
 from repro.labeling.assign import LabeledDocument, LabeledElement, label_document
-from repro.labeling.dewey import Dewey
-from repro.labeling.extended_dewey import (
-    ExtendedDewey,
-    ExtendedDeweyDecoder,
-    ExtendedDeweyEncoder,
-)
 from repro.labeling.region import Region
 
 __all__ = [
-    "Dewey",
-    "ExtendedDewey",
-    "ExtendedDeweyDecoder",
-    "ExtendedDeweyEncoder",
     "LabeledDocument",
     "LabeledElement",
     "Region",

@@ -4,13 +4,12 @@
 :class:`LabeledDocument` in which every element carries
 
 * a region label (``start``/``end``/``level``) — O(1) structural tests,
-* a Dewey label — ancestor paths and LCAs,
-* an extended Dewey label — tag-path decodable (TJFast-style),
-* its DataGuide path node — position identity for completion/validation.
+* its DataGuide path node — position identity for completion, validation
+  and stream pruning (two elements share a path node exactly when they
+  share their root-to-element tag path).
 
-The DataGuide and child-tag tables are built in a first cheap pass (they
-are needed *before* extended Dewey components can be computed), then labels
-are assigned in a second preorder pass.
+The DataGuide is built in a first cheap pass, then labels are assigned in
+a second preorder pass.
 
 :func:`place_labeled` is the second, much cheaper stage a sharded or
 segmented corpus adds: it copies a labeled document to a position in a
@@ -21,14 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.labeling.dewey import Dewey
-from repro.labeling.extended_dewey import (
-    ExtendedDewey,
-    ExtendedDeweyDecoder,
-    ExtendedDeweyEncoder,
-)
 from repro.labeling.region import Region
-from repro.summary.child_table import ChildTagTable
 from repro.summary.dataguide import DataGuide, PathNode
 from repro.xmlio.tree import Document, Element
 
@@ -44,8 +36,6 @@ class LabeledElement:
         "element",
         "order",
         "region",
-        "dewey",
-        "xdewey",
         "path_node",
         "parent",
         "_child_ordinals",
@@ -56,16 +46,12 @@ class LabeledElement:
         element: Element,
         order: int,
         region: Region,
-        dewey: Dewey,
-        xdewey: ExtendedDewey,
         path_node: PathNode,
         parent: LabeledElement | None,
     ) -> None:
         self.element = element
         self.order = order
         self.region = region
-        self.dewey = dewey
-        self.xdewey = xdewey
         self.path_node = path_node
         self.parent = parent
         #: id(child element) -> 1-based ordinal among same-tag siblings;
@@ -106,7 +92,7 @@ class LabeledElement:
         return self.region.is_parent_of(other.region)
 
     def __repr__(self) -> str:
-        return f"LabeledElement({self.tag!r}, {self.region}, dewey={self.dewey})"
+        return f"LabeledElement({self.tag!r}, {self.region})"
 
 
 class LabeledDocument:
@@ -116,19 +102,16 @@ class LabeledDocument:
         self,
         document: Document,
         guide: DataGuide,
-        child_table: ChildTagTable,
         elements: list[LabeledElement],
     ) -> None:
         self.document = document
         self.guide = guide
-        self.child_table = child_table
         #: All labeled elements in document (preorder) order.
         self.elements = elements
         self._by_element_id = {id(le.element): le for le in elements}
         self._by_tag: dict[str, list[LabeledElement]] = {}
         for labeled in elements:
             self._by_tag.setdefault(labeled.tag, []).append(labeled)
-        self.decoder = ExtendedDeweyDecoder(child_table, document.root.tag)
 
     # ------------------------------------------------------------------
     # Pickling
@@ -137,7 +120,7 @@ class LabeledDocument:
     def __getstate__(self):
         # _by_element_id is keyed by id(), which is not stable across
         # processes; drop it (and the other derived tables) and rebuild.
-        return (self.document, self.guide, self.child_table, self.elements)
+        return (self.document, self.guide, self.elements)
 
     def __setstate__(self, state) -> None:
         self.__init__(*state)
@@ -174,9 +157,6 @@ class LabeledDocument:
 def label_document(document: Document) -> LabeledDocument:
     """Assign all labels to ``document`` and return the labeled view."""
     guide = DataGuide.from_document(document)
-    child_table = ChildTagTable.from_dataguide(guide)
-    encoder = ExtendedDeweyEncoder(child_table)
-
     elements: list[LabeledElement] = []
     counter = 0  # shared start/end counter for region labels
 
@@ -186,66 +166,24 @@ def label_document(document: Document) -> LabeledDocument:
     def walk(
         element: Element,
         level: int,
-        dewey: Dewey,
-        xdewey: ExtendedDewey,
         path_node: PathNode,
         parent: LabeledElement | None,
-    ) -> LabeledElement:
+    ) -> None:
         nonlocal counter
         start = counter
         counter += 1
-        order = len(elements)
-        # Region end is patched after the subtree is walked; reserve slot.
-        elements.append(None)  # type: ignore[arg-type]
-
-        previous_component = -1
-        children: list[LabeledElement] = []
-        placeholder_index = order
-        labeled: LabeledElement | None = None
-
-        child_ordinal = 0
-        pending: list[tuple[Element, Dewey, ExtendedDewey, PathNode]] = []
+        # Recorded in preorder; the region end is known once the subtree
+        # has been walked.
+        labeled = LabeledElement(element, len(elements), None, path_node, parent)
+        elements.append(labeled)
+        children = path_node.children
         for child in element.child_elements():
-            child_ordinal += 1
-            component = encoder.component(element.tag, child.tag, previous_component)
-            previous_component = component
-            child_path = path_node.children[child.tag]
-            pending.append(
-                (
-                    child,
-                    dewey.child(child_ordinal),
-                    ExtendedDewey(xdewey.components + (component,)),
-                    child_path,
-                )
-            )
-
-        # Create this element's record first (children need it as parent),
-        # but its region end isn't known until the subtree completes; build
-        # the record after walking children, then patch the reserved slot.
-        for child, child_dewey, child_xdewey, child_path in pending:
-            # Children are recorded inside the recursive call.
-            children.append(
-                walk(child, level + 1, child_dewey, child_xdewey, child_path, None)
-            )
-
-        end = counter
+            walk(child, level + 1, children[child.tag], labeled)
+        labeled.region = Region(start, counter, level)
         counter += 1
-        labeled = LabeledElement(
-            element,
-            placeholder_index,
-            Region(start, end, level),
-            dewey,
-            xdewey,
-            path_node,
-            parent,
-        )
-        elements[placeholder_index] = labeled
-        for child_labeled in children:
-            child_labeled.parent = labeled
-        return labeled
 
-    walk(document.root, 0, Dewey(), ExtendedDewey(), root_path_node, None)
-    return LabeledDocument(document, guide, child_table, elements)
+    walk(document.root, 0, root_path_node, None)
+    return LabeledDocument(document, guide, elements)
 
 
 def place_labeled(
@@ -256,10 +194,10 @@ def place_labeled(
     Every non-root region moves by ``tick_delta`` ticks and the root
     spans ``(0, root_end)``.  The copy consists of *new*
     :class:`LabeledElement` objects — whoever still holds ``labeled``
-    keeps reading the old position — over the same document, guide,
-    child-tag table, Dewey labels and path nodes, none of which depend
-    on the position.  Orders are unchanged, so every order-keyed index
-    built over ``labeled`` serves the copy as it is.
+    keeps reading the old position — over the same document, guide and
+    path nodes, none of which depend on the position.  Orders are
+    unchanged, so every order-keyed index built over ``labeled`` serves
+    the copy as it is.
     """
     placed: list[LabeledElement] = []
     for source in labeled.elements:
@@ -275,14 +213,10 @@ def place_labeled(
             source.element,
             source.order,
             region,
-            source.dewey,
-            source.xdewey,
             source.path_node,
             # Preorder: a parent is placed before its children.
             None if parent is None else placed[parent.order],
         )
         copy._child_ordinals = source._child_ordinals
         placed.append(copy)
-    return LabeledDocument(
-        labeled.document, labeled.guide, labeled.child_table, placed
-    )
+    return LabeledDocument(labeled.document, labeled.guide, placed)

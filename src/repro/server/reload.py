@@ -59,7 +59,7 @@ class ReloadSource:
     #: across reloads (``None`` uses fleet defaults).
     fleet_config: object | None = None
     #: Serve snapshot hot sections zero-copy from an ``mmap`` of the
-    #: file (v3 snapshots; older versions fall back to the copying
+    #: file (a foreign-layout file falls back to the copying
     #: loader).  Hot reload is unmap-safe: the old generation holds a
     #: reference on its mapping, and the mapping outlives every
     #: in-flight request that still touches its buffers.
@@ -108,8 +108,8 @@ class ReloadSource:
                     # until a query path actually needs them.
                     database.warm_hot()
                 else:
-                    # Pre-v3 / foreign-layout file fell back to the
-                    # copying loader; warm it fully like any other.
+                    # A foreign-layout file fell back to the copying
+                    # loader; warm it fully like any other.
                     database.warm()
                 return database
             return load_snapshot(self.path, eager=True)

@@ -1,11 +1,10 @@
-"""Structural summaries: DataGuide and child-tag tables.
+"""Structural summaries: the DataGuide and the inferred schema.
 
-The DataGuide powers position-aware autocompletion (what can occur *here*)
-and query validation; the child-tag tables power extended Dewey labels
-(decode a label back to its tag path without touching the document).
+The DataGuide powers position-aware autocompletion (what can occur *here*),
+query validation, and path-id stream pruning; the inferred schema is a
+DTD-like view of the document.
 """
 
-from repro.summary.child_table import ChildTagTable
 from repro.summary.dataguide import DataGuide, PathNode
 from repro.summary.schema import InferredSchema, TagProfile, infer_schema
 from repro.summary.paths import (
@@ -19,7 +18,6 @@ from repro.summary.paths import (
 
 __all__ = [
     "PATH_SEPARATOR",
-    "ChildTagTable",
     "DataGuide",
     "InferredSchema",
     "TagProfile",

@@ -167,10 +167,14 @@ class TestExplainAndSave:
         data = json.loads(capsys.readouterr().out)
         assert data["algorithm"] == "path-stack"
 
-    def test_save(self, corpus, capsys, tmp_path):
-        target = tmp_path / "store"
-        assert main(["save", corpus, str(target)]) == 0
-        assert (target / "manifest.json").exists()
+    def test_index_is_the_persistence_command(self, corpus, capsys, tmp_path):
+        from repro.engine.store import SNAPSHOT_VERSION, read_snapshot_info
+
+        target = tmp_path / "corpus.lxsnap"
+        assert main(["index", corpus, str(target)]) == 0
+        assert read_snapshot_info(target).version == SNAPSHOT_VERSION
+        with pytest.raises(SystemExit):
+            main(["save", corpus, str(tmp_path / "store")])
 
 
 class TestServeWritableFlags:

@@ -1,5 +1,4 @@
-"""Zero-copy (mmap) snapshot serving: format v3 round trips, mapping
-lifecycle, cross-platform guards, and the hot-reload unmap hazard.
+"""Zero-copy (mmap) snapshot serving: round trips, mapping lifecycle, cross-platform guards, and the hot-reload unmap hazard.
 
 The claims under test:
 
@@ -12,10 +11,10 @@ The claims under test:
   reload never invalidates a buffer an in-flight request still reads.
 * Foreign byte layouts degrade safely: big-endian snapshots fall back
   to the copying decoder (or raise a typed error under
-  ``mmap="require"``); v1/v2 files load exactly as before.
+  ``mmap="require"``).
 * The write path never mutates a mapped buffer: root-width patches go
-  copy-on-write, and a writable checkpoint emits a v3 snapshot that
-  reloads (mapped) to identical serving behavior.
+  copy-on-write, and a writable checkpoint emits a current-format
+  snapshot that reloads (mapped) to identical serving behavior.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import pytest
 from repro.datasets import generate_dblp
 from repro.engine.database import LotusXDatabase
 from repro.engine.store import (
+    SNAPSHOT_VERSION,
     MappedSnapshot,
     SnapshotError,
     SnapshotFormatError,
@@ -224,7 +224,7 @@ def test_mapped_header_corruption_detected(snapshot_path, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Cross-platform guards and version compatibility
+# Cross-platform guards
 # ---------------------------------------------------------------------------
 
 
@@ -240,17 +240,6 @@ def test_foreign_byteorder_falls_back_to_copying(built_db, tmp_path):
     assert _probe(fallback) == _probe(built_db)
     # mmap="require": a typed, actionable refusal.
     with pytest.raises(SnapshotMmapError, match="foreign byte layout"):
-        load_snapshot(path, mmap="require")
-
-
-def test_pre_v3_snapshot_refuses_require_and_falls_back(built_db, tmp_path):
-    path = tmp_path / "v2.lxsnap"
-    save_snapshot(built_db, path, version=2)
-    assert read_snapshot_info(path).version == 2
-    fallback = load_snapshot(path, mmap=True)
-    assert not is_mmap_backed(fallback)
-    assert _probe(fallback) == _probe(built_db)
-    with pytest.raises(SnapshotMmapError, match="predates the mmap layout"):
         load_snapshot(path, mmap="require")
 
 
@@ -291,8 +280,10 @@ def test_rewiden_root_copies_instead_of_writing_the_mapping(snapshot_path):
     assert wild.ends[0] == original_end + 100
 
 
-def test_writable_checkpoint_emits_v3_and_serves_identically(tmp_path):
-    """Checkpoint → v3 snapshot → mmap reload round trip: the live
+def test_writable_checkpoint_emits_current_format_and_serves_identically(
+    tmp_path,
+):
+    """Checkpoint → snapshot → mmap reload round trip: the live
     written corpus and its mapped checkpoint agree on every surface."""
     from repro.write.writer import open_writable_database
 
@@ -309,7 +300,7 @@ def test_writable_checkpoint_emits_v3_and_serves_identically(tmp_path):
         db.writer.flush()
         checkpoint_path = tmp_path / "ckpt.lxsnap"
         db.writer.checkpoint(checkpoint_path)
-        assert read_snapshot_info(checkpoint_path).version == 3
+        assert read_snapshot_info(checkpoint_path).version == SNAPSHOT_VERSION
         reloaded = load_snapshot(checkpoint_path, mmap="require")
         assert is_mmap_backed(reloaded)
         live = db.view

@@ -260,16 +260,33 @@ def test_corrupt_section_with_valid_outer_digest(snapshot_path, tmp_path):
     is garbage: decoding must fail as a typed integrity error (the lazy
     per-section checksum), not leak a half-built database."""
     data = bytearray(snapshot_path.read_bytes())
-    _, version, _, header_length = _PREFIX.unpack_from(data)
-    first_section_byte = _PREFIX.size + header_length
-    if version >= 3:
-        first_section_byte += _DIGEST_SIZE
-    data[first_section_byte] ^= 0xFF
+    _, data_start = _header(data)
+    data[data_start] ^= 0xFF
     bad = tmp_path / "inner.lxsnap"
     bad.write_bytes(_rewrite_digest(bytes(data)))
     db = load_snapshot(bad)  # verification passes; decode is lazy
     with pytest.raises(SnapshotIntegrityError):
         db.warm()
+
+
+def test_malformed_labels_payload_fails_typed(built_db, tmp_path, monkeypatch):
+    """A labels payload that verifies but lacks a column surfaces as a
+    typed format error on first inflation, like every other section."""
+    from repro.engine import store
+
+    encode = store._encode_labels
+
+    def without_parents(labeled):
+        payload = encode(labeled)
+        del payload["parent_orders"]
+        return payload
+
+    monkeypatch.setattr(store, "_encode_labels", without_parents)
+    path = tmp_path / "noparents.lxsnap"
+    save_snapshot(built_db, path)
+    db = load_snapshot(path)
+    with pytest.raises(SnapshotFormatError, match="labels"):
+        db.labeled
 
 
 def test_header_overrun_rejected(snapshot_path, tmp_path):
@@ -282,40 +299,15 @@ def test_header_overrun_rejected(snapshot_path, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Columnar section: round-trip, pre-columnar (v1) fallback, corruption
+# Columnar section: round-trip, corruption
 # ---------------------------------------------------------------------------
 
 
 def _header(data: bytes) -> tuple[dict, int]:
     """(parsed JSON header, data-area start offset)."""
-    _, version, _, header_length = _PREFIX.unpack_from(data)
+    _, _, _, header_length = _PREFIX.unpack_from(data)
     header_end = _PREFIX.size + header_length
-    start = header_end + (_DIGEST_SIZE if version >= 3 else 0)
-    return json.loads(data[_PREFIX.size : header_end]), start
-
-
-def _strip_columnar_to_v1(data: bytes) -> bytes:
-    """Rewrite a v2 snapshot as a valid v1 file with no columnar section,
-    the shape every pre-columnar snapshot on disk actually has."""
-    header, data_start = _header(data)
-    body = bytearray()
-    sections = []
-    offset = 0
-    for entry in header["sections"]:
-        if entry["name"] == "columnar":
-            continue
-        start = data_start + entry["offset"]
-        body += data[start : start + entry["length"]]
-        sections.append(dict(entry, offset=offset))
-        offset += entry["length"]
-    new_header = json.dumps(
-        {"sections": sections, "meta": header["meta"]}, sort_keys=True
-    ).encode("utf-8")
-    out = bytearray(_PREFIX.pack(SNAPSHOT_MAGIC, 1, 0, len(new_header)))
-    out += new_header
-    out += body
-    out += hashlib.sha256(bytes(out)).digest()
-    return bytes(out)
+    return json.loads(data[_PREFIX.size : header_end]), header_end + _DIGEST_SIZE
 
 
 def test_columnar_section_round_trips(built_db, loaded_db):
@@ -337,28 +329,6 @@ def test_columnar_section_round_trips(built_db, loaded_db):
     before = loaded_db.counters["columnar_evaluations"]
     loaded_db.matches(QUERIES[0], stats=AlgorithmStats())
     assert loaded_db.counters["columnar_evaluations"] == before + 1
-
-
-def test_v1_snapshot_rebuilds_its_columns(built_db, tmp_path):
-    v2_path = tmp_path / "v2.lxsnap"
-    save_snapshot(built_db, v2_path, version=2)
-    v1_path = tmp_path / "v1.lxsnap"
-    v1_path.write_bytes(_strip_columnar_to_v1(v2_path.read_bytes()))
-    info = read_snapshot_info(v1_path)
-    assert info.version == 1
-    assert "columnar" not in info.section_sizes
-    db = load_snapshot(v1_path)
-    built_col = built_db.streams.columnar
-    rebuilt_col = db.streams.columnar
-    assert rebuilt_col.tags() == built_col.tags()
-    for tag in sorted(built_col.tags()) + [None]:
-        assert rebuilt_col.stream(tag).starts == built_col.stream(tag).starts
-        assert rebuilt_col.stream(tag).ends == built_col.stream(tag).ends
-    for query in QUERIES:
-        assert db.matches(query) == built_db.matches(query), query
-    assert db.counters["columnar_evaluations"] > 0
-    assert db.counters["fallback_evaluations"] == 0
-    assert db.cache_statistics()["columnar_enabled"] is True
 
 
 def test_lazy_snapshot_reports_columnar_without_inflating(snapshot_path):

@@ -9,7 +9,7 @@ completion, guide pruning × negation, and so on.
 import pytest
 
 from repro.engine.database import LotusXDatabase
-from repro.engine.store import load_database, save_database
+from repro.engine.store import load_snapshot, save_snapshot
 
 XML_A = (
     '<dblp><article key="a1"><title>twig joins</title><author>lu</author>'
@@ -109,17 +109,17 @@ class TestCollectionsTimesFeatures:
 class TestStoreTimesFeatures:
     def test_store_roundtrip_preserves_negation_and_optional(self, tmp_path):
         db = LotusXDatabase.from_string(XML_A)
-        save_database(db, tmp_path / "store")
-        loaded = load_database(tmp_path / "store")
+        save_snapshot(db, tmp_path / "db.lxsnap")
+        loaded = load_snapshot(tmp_path / "db.lxsnap")
         assert len(loaded.matches("//article[not(./note)]")) == 1
         assert len(loaded.matches("//article[./note?]/title")) == 2
 
     def test_store_roundtrip_of_attribute_expanded_db(self, tmp_path):
-        # The store records the expansion flag in its manifest and
-        # re-applies it on load, so attribute queries survive the trip.
+        # The snapshot records the expansion flag in its header and keeps
+        # the indexed shadow tree, so attribute queries survive the trip.
         db = LotusXDatabase.from_string(XML_A, expand_attributes=True)
-        save_database(db, tmp_path / "store")
-        loaded = load_database(tmp_path / "store")
+        save_snapshot(db, tmp_path / "db.lxsnap")
+        loaded = load_snapshot(tmp_path / "db.lxsnap")
         assert loaded.expanded_attributes
         assert len(loaded.matches("//article/@key")) == 2
 

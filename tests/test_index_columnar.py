@@ -11,12 +11,12 @@ import pytest
 from repro.datasets import generate_dblp
 from repro.engine.database import LotusXDatabase
 from repro.index.columnar import (
-    COLUMNAR_FORMAT,
+    COLUMNAR_RAW_FORMAT,
     INF_INT,
     ColumnarIndex,
     ColumnarStream,
-    decode_columnar,
-    encode_columnar,
+    decode_columnar_raw,
+    encode_columnar_raw,
 )
 
 
@@ -136,16 +136,21 @@ def test_take_preserves_column_alignment(index):
 
 def _streams_equal(a: ColumnarStream, b: ColumnarStream) -> bool:
     return (
-        a.starts == b.starts
-        and a.ends == b.ends
-        and a.levels == b.levels
-        and a.path_ids == b.path_ids
+        list(a.starts) == list(b.starts)
+        and list(a.ends) == list(b.ends)
+        and list(a.levels) == list(b.levels)
+        and list(a.path_ids) == list(b.path_ids)
         and list(a.elements) == list(b.elements)
     )
 
 
+def _elements_for(labeled):
+    return lambda tag: labeled.elements if tag is None else labeled.stream(tag)
+
+
 def test_encode_decode_round_trip(db, index):
-    decoded = decode_columnar(encode_columnar(index), db.labeled)
+    directory, raw = encode_columnar_raw(index)
+    decoded = decode_columnar_raw(directory, bytes(raw), _elements_for(db.labeled))
     assert decoded is not None
     assert decoded.tags() == index.tags()
     for tag in sorted(index.tags()) + [None]:
@@ -153,25 +158,15 @@ def test_encode_decode_round_trip(db, index):
 
 
 def test_decode_foreign_byteorder_round_trips(db, index):
-    """A payload written on the opposite-endian platform (bytes swapped,
-    byteorder label flipped) decodes to identical values."""
-
-    def swap(blob: bytes) -> bytes:
-        column = array("q")
-        column.frombytes(blob)
-        column.byteswap()
-        return column.tobytes()
-
-    payload = encode_columnar(index)
-    payload["byteorder"] = "big" if sys.byteorder == "little" else "little"
-    payload["tags"] = {
-        tag: tuple(swap(blob) for blob in blobs)
-        for tag, blobs in payload["tags"].items()
-    }
-    payload["all"] = tuple(swap(blob) for blob in payload["all"])
-    decoded = decode_columnar(payload, db.labeled)
+    """Columns written on the opposite-endian platform (bytes swapped,
+    byteorder label flipped) decode to identical values."""
+    foreign = "big" if sys.byteorder == "little" else "little"
+    directory, raw = encode_columnar_raw(index, foreign)
+    assert directory["byteorder"] == foreign
+    decoded = decode_columnar_raw(directory, bytes(raw), _elements_for(db.labeled))
     assert decoded is not None
     for tag in sorted(index.tags()) + [None]:
+        assert isinstance(decoded.stream(tag).starts, array)
         assert _streams_equal(decoded.stream(tag), index.stream(tag))
 
 
@@ -179,25 +174,30 @@ def test_decode_unmappable_layout_returns_none(db, index):
     """Layouts this platform cannot map — wrong format tag, typecode, or
     itemsize — decode to None (the caller rebuilds from labels)."""
     for mutation in (
-        {"format": COLUMNAR_FORMAT + 1},
+        {"format": COLUMNAR_RAW_FORMAT + 1},
         {"typecode": "l"},
         {"itemsize": 4},
     ):
-        payload = encode_columnar(index)
-        payload.update(mutation)
-        assert decode_columnar(payload, db.labeled) is None, mutation
+        directory, raw = encode_columnar_raw(index)
+        directory.update(mutation)
+        decoded = decode_columnar_raw(directory, raw, _elements_for(db.labeled))
+        assert decoded is None, mutation
 
 
 def test_decode_inconsistent_payload_raises(db, index):
     other = LotusXDatabase(generate_dblp(publications=4, seed=99))
-    # Row counts disagree with the label store.
+    # Row counts disagree with the label store: caught when the lazy
+    # element column first resolves.
+    decoded = decode_columnar_raw(
+        *encode_columnar_raw(index), _elements_for(other.labeled)
+    )
     with pytest.raises(ValueError):
-        decode_columnar(encode_columnar(index), other.labeled)
-    # Tag sets disagree with the label store.
-    payload = encode_columnar(index)
-    payload["tags"] = dict(list(payload["tags"].items())[:-1])
+        decoded.stream(None).element(0)
+    # A stream record is missing a column.
+    directory, raw = encode_columnar_raw(index)
+    del directory["all"]["ends"]
     with pytest.raises(ValueError):
-        decode_columnar(payload, db.labeled)
+        decode_columnar_raw(directory, raw, _elements_for(db.labeled))
     # Not a mapping at all.
     with pytest.raises(ValueError):
-        decode_columnar([], db.labeled)
+        decode_columnar_raw([], raw, _elements_for(db.labeled))

@@ -9,24 +9,23 @@ index must hold the same ``items()`` and answer the same
 ``complete(prefix, k)`` for every prefix up to three characters, over
 the seeded generators and over generated documents with non-ASCII and
 shared-prefix text.  A snapshot saved from a fresh build must load —
-mapped and copying, and from the older v2 payloads — to the same answers.
+mapped and copying — to the same answers.
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
-import sys
-import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import generate_books, generate_dblp, generate_xmark
-from repro.engine import store
 from repro.engine.database import LotusXDatabase
-from repro.engine.store import load_snapshot, read_snapshot_info, save_snapshot
+from repro.engine.store import (
+    SNAPSHOT_VERSION,
+    load_snapshot,
+    read_snapshot_info,
+    save_snapshot,
+)
 from repro.index.completion_index import CompletionIndex
 from repro.index.term_index import TermIndex
 from repro.index.text import completion_value, tokenize
@@ -156,7 +155,7 @@ def fresh_db():
 def test_fresh_build_snapshot_loads_to_identical_tries(fresh_db, tmp_path, mmap):
     path = tmp_path / "fresh.lxsnap"
     save_snapshot(fresh_db, path)
-    assert read_snapshot_info(path).version == 3
+    assert read_snapshot_info(path).version == SNAPSHOT_VERSION
     loaded = load_snapshot(path, mmap=mmap)
     try:
         assert_same_tries(
@@ -164,89 +163,3 @@ def test_fresh_build_snapshot_loads_to_identical_tries(fresh_db, tmp_path, mmap)
         )
     finally:
         loaded.close()
-
-
-def test_v2_snapshot_loads_to_identical_tries(fresh_db, tmp_path):
-    path = tmp_path / "v2.lxsnap"
-    save_snapshot(fresh_db, path, version=2)
-    loaded = load_snapshot(path)
-    assert_same_tries(
-        index_tries(loaded.completion_index), oracle_tries(fresh_db.labeled)
-    )
-
-
-def _with_completion_section(data: bytes, blob: bytes) -> bytes:
-    """A v2 snapshot with its ``completion`` section replaced by ``blob``."""
-    _, version, _, header_length = store._PREFIX.unpack_from(data)
-    assert version == 2
-    header_end = store._PREFIX.size + header_length
-    header = json.loads(data[store._PREFIX.size : header_end])
-    body = bytearray()
-    sections = []
-    for entry in header["sections"]:
-        start = header_end + entry["offset"]
-        chunk = data[start : start + entry["length"]]
-        if entry["name"] == "completion":
-            chunk = blob
-        sections.append(
-            dict(
-                entry,
-                offset=len(body),
-                length=len(chunk),
-                sha256=hashlib.sha256(chunk).hexdigest(),
-            )
-        )
-        body += chunk
-    new_header = json.dumps(
-        {"sections": sections, "meta": header["meta"]}, sort_keys=True
-    ).encode("utf-8")
-    out = bytearray(store._PREFIX.pack(store.SNAPSHOT_MAGIC, 2, 0, len(new_header)))
-    out += new_header
-    out += body
-    out += hashlib.sha256(bytes(out)).digest()
-    return bytes(out)
-
-
-def test_snapshot_with_pickled_node_tries_still_loads(fresh_db, tmp_path, monkeypatch):
-    """Files written before the packed build hold ``repro.index.trie.Trie``
-    pickles (state ``(root, size)``) in their completion section; the
-    loader's shim packs them on read."""
-    expected = oracle_tries(fresh_db.labeled)
-    with monkeypatch.context() as patch:
-        # Recreate the retired module just long enough to pickle the
-        # oracle tries under the global name the old files carry.
-        legacy = types.ModuleType("repro.index.trie")
-        legacy.Trie = type("Trie", (Trie,), {"__module__": "repro.index.trie"})
-        patch.setitem(sys.modules, "repro.index.trie", legacy)
-
-        def renamed(trie: Trie):
-            twin = legacy.Trie()
-            twin.__setstate__(trie.__getstate__())
-            return twin
-
-        payload = {
-            name: (
-                {pid: renamed(trie) for pid, trie in value.items()}
-                if isinstance(value, dict)
-                else renamed(value)
-            )
-            for name, value in expected.items()
-        }
-        blob = store._dumps_section(payload)
-    assert b"repro.index.trie" in store.zlib.decompress(blob)
-    assert "repro.index.trie" not in sys.modules
-
-    v2 = tmp_path / "v2.lxsnap"
-    save_snapshot(fresh_db, v2, version=2)
-    old = tmp_path / "old.lxsnap"
-    old.write_bytes(_with_completion_section(v2.read_bytes(), blob))
-
-    loaded = load_snapshot(old)
-    assert_same_tries(index_tries(loaded.completion_index), expected)
-    for prefix in ("", "a", "th"):
-        assert loaded.autocomplete.complete_tag_global(prefix) == (
-            fresh_db.autocomplete.complete_tag_global(prefix)
-        )
-        assert loaded.autocomplete.complete_value_global(prefix) == (
-            fresh_db.autocomplete.complete_value_global(prefix)
-        )

@@ -1,7 +1,8 @@
-"""Label assignment: all label kinds agree with the tree structure."""
+"""Label assignment: region labels and path nodes agree with the tree."""
 
 import pytest
 
+from repro.index.columnar import ColumnarIndex
 from repro.labeling.assign import label_document
 from repro.xmlio.builder import parse_string
 
@@ -26,7 +27,7 @@ class TestBasicAssignment:
     def test_root_label(self, labeled):
         root = labeled.elements[0]
         assert root.region.level == 0
-        assert root.dewey.components == ()
+        assert root.path_node.path == ("r",)
         assert root.parent is None
 
     def test_levels_match_depth(self, labeled):
@@ -39,39 +40,33 @@ class TestBasicAssignment:
                 assert element.parent.element is element.element.parent
                 assert element.parent.region.is_parent_of(element.region)
 
-    def test_dewey_matches_sibling_positions(self, labeled):
-        for element in labeled.elements:
-            if element.parent is not None:
-                expected = element.element.sibling_index() + 1
-                assert element.dewey.components[-1] == expected
-
     def test_path_node_matches_path(self, labeled):
         for element in labeled.elements:
             assert element.path_node.path == element.element.path()
 
 
 class TestConsistencyAcrossLabelKinds:
-    def test_region_and_dewey_agree_on_ancestry(self, labeled):
+    def test_region_agrees_with_tree_ancestry(self, labeled):
         elements = labeled.elements
         for first in elements:
+            descendants = set(map(id, first.element.iter_descendants()))
             for second in elements:
                 assert first.region.is_ancestor_of(second.region) == (
-                    first.dewey.is_ancestor_of(second.dewey)
-                )
-
-    def test_region_and_xdewey_agree_on_ancestry(self, labeled):
-        elements = labeled.elements
-        for first in elements:
-            for second in elements:
-                assert first.region.is_ancestor_of(second.region) == (
-                    first.xdewey.is_ancestor_of(second.xdewey)
+                    id(second.element) in descendants
                 )
 
     def test_all_orders_agree(self, labeled):
         by_region = sorted(labeled.elements, key=lambda e: e.region)
-        by_dewey = sorted(labeled.elements, key=lambda e: e.dewey)
-        by_xdewey = sorted(labeled.elements, key=lambda e: e.xdewey)
-        assert by_region == by_dewey == by_xdewey == labeled.elements
+        assert by_region == labeled.elements
+        assert [e.order for e in labeled.elements] == list(range(len(labeled)))
+
+    def test_columnar_path_ids_match_path_nodes(self, labeled):
+        index = ColumnarIndex.from_labeled(labeled)
+        for tag in (None, *labeled.tags()):
+            stream = index.stream(tag)
+            assert list(stream.path_ids) == [
+                e.path_node.node_id for e in stream.elements
+            ]
 
 
 class TestLookup:

@@ -1,9 +1,9 @@
 """Property-based tests for labeling invariants (hypothesis).
 
-On arbitrary random documents, every label kind must agree with the tree
-and with the other kinds: region containment == tree ancestry == Dewey
-prefixing == extended-Dewey prefixing, document order is shared, and
-extended Dewey decodes every element's tag path exactly.
+On arbitrary random documents, the labels must agree with the tree:
+region containment == tree ancestry, region order == document order, and
+every element's DataGuide path node names its tag path exactly (as do the
+columnar path ids, row for row).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.index.columnar import ColumnarIndex
 from repro.labeling.assign import label_document
 from repro.xmlio.tree import Document, Element
 
@@ -36,10 +37,16 @@ def documents(draw):
 
 @given(documents())
 @settings(max_examples=150, deadline=None)
-def test_extended_dewey_decodes_every_path(document):
+def test_path_nodes_name_every_path(document):
     labeled = label_document(document)
     for element in labeled.elements:
-        assert labeled.decoder.decode(element.xdewey) == element.element.path()
+        assert element.path_node.path == element.element.path()
+    columnar = ColumnarIndex.from_labeled(labeled)
+    for tag in (None, *labeled.tags()):
+        stream = columnar.stream(tag)
+        assert list(stream.path_ids) == [
+            element.path_node.node_id for element in stream.elements
+        ]
 
 
 @given(documents())
@@ -52,8 +59,6 @@ def test_all_label_kinds_agree_on_ancestry(document):
         for second in elements:
             truth = id(second.element) in first_descendants
             assert first.region.is_ancestor_of(second.region) == truth
-            assert first.dewey.is_ancestor_of(second.dewey) == truth
-            assert first.xdewey.is_ancestor_of(second.xdewey) == truth
 
 
 @given(documents())
@@ -61,9 +66,8 @@ def test_all_label_kinds_agree_on_ancestry(document):
 def test_document_order_is_shared(document):
     labeled = label_document(document)
     by_region = sorted(labeled.elements, key=lambda e: e.region)
-    by_dewey = sorted(labeled.elements, key=lambda e: e.dewey)
-    by_xdewey = sorted(labeled.elements, key=lambda e: e.xdewey)
-    assert by_region == by_dewey == by_xdewey == labeled.elements
+    assert by_region == labeled.elements
+    assert [e.element for e in labeled.elements] == list(document.iter())
 
 
 @given(documents())

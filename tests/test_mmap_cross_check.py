@@ -1,7 +1,7 @@
 """The seeded 400-case differential harness, served zero-copy.
 
 Every case from the tier-1 harness matrix (ordered / optional /
-negation / pruning, path and tree shapes) is round-tripped through a v3
+negation / pruning, path and tree shapes) is round-tripped through a
 snapshot and evaluated on an ``mmap``-backed database — monolithic and
 2-shard — and must agree byte-for-byte (canonical region projection)
 with the in-memory oracle.  This is the correctness backstop for the

@@ -8,9 +8,7 @@ character at a time, every node caches the maximum weight in its subtree,
 and :meth:`Trie.complete` runs the best-first search the packed trie's
 range-maximum search must reproduce element for element.
 
-Nodes are plain three-slot lists ``[weight, best, children]`` — also the
-shape old (v1/v2) snapshots pickled, which
-``tests/test_index_completion_build.py`` uses to fabricate such a file.
+Nodes are plain three-slot lists ``[weight, best, children]``.
 """
 
 from __future__ import annotations
@@ -135,13 +133,3 @@ class Trie:
     def items(self) -> Iterator[tuple[str, int]]:
         """All keys with weights, lexicographic order."""
         return self.iter_prefix("")
-
-    # ------------------------------------------------------------------
-    # Pickling (snapshot support)
-    # ------------------------------------------------------------------
-
-    def __getstate__(self):
-        return (self._root, self._size)
-
-    def __setstate__(self, state) -> None:
-        self._root, self._size = state
