@@ -1,13 +1,13 @@
 """E15 (Table): sharded scatter-gather vs monolithic evaluation.
 
-Gates the sharded corpus subsystem: a 4-shard fleet with process-pool
-scatter-gather must (a) return exactly the monolithic answers on every
-workload query and (b) deliver a >= 2x median speedup on the E4-class
-XMark workload when 4+ cores are available (the gate is skipped on
-smaller machines — scatter over forked workers cannot beat one core
-with one core).  A second table measures shard-pruned routing on a
-heterogeneous corpus: queries whose tags/terms live on one shard must
-dispatch to that shard alone, and the routing counters must show it.
+Gates the sharded corpus subsystem: a 4-shard fleet must return exactly
+the monolithic answers on every E4-class XMark workload query.  The
+timing columns report the sharding overhead (fleet ÷ mono time; scatters
+run inline, so this is the price of routing, per-shard evaluation and
+the global merge) without a gate.  A second table measures shard-pruned
+routing on a heterogeneous corpus: queries whose tags/terms live on one
+shard must dispatch to that shard alone, and the routing counters must
+show it.
 
 Results are persisted via ``record_bench`` (``BENCH_e15_shard.json``)
 for the nightly artifact upload; the pruning table rides along in the
@@ -29,11 +29,10 @@ from repro.datasets import (
 )
 from repro.engine.database import LotusXDatabase
 from repro.shard.database import ShardedDatabase
-from repro.shard.executor import _fork_available
 from repro.twig.algorithms.common import AlgorithmStats
 from repro.xmlio.tree import Document, Element
 
-from conftest import SMOKE, XMARK_SIZES, shape_check
+from conftest import SMOKE, XMARK_SIZES
 
 SHARDS = 4
 
@@ -66,12 +65,9 @@ def _mixed_collection() -> Document:
     return Document(root)
 
 
-def test_e15_scatter_gather_speedup(capsys):
+def test_e15_scatter_gather_overhead(capsys):
     items = XMARK_SIZES[-1]
-    executor_mode = "process" if _fork_available() else "thread"
-    fleet = ShardedDatabase.from_document(
-        _xmark_collection(items), SHARDS, executor_mode=executor_mode
-    )
+    fleet = ShardedDatabase.from_document(_xmark_collection(items), SHARDS)
     mono = LotusXDatabase(_xmark_collection(items))
 
     rows = []
@@ -84,7 +80,7 @@ def test_e15_scatter_gather_speedup(capsys):
         ), query.name
 
         # A stats argument bypasses both result caches, so each timed
-        # run is a real evaluation (plan caches and pools stay warm).
+        # run is a real evaluation (plan caches stay warm).
         def run_mono():
             mono.matches(query.text, stats=AlgorithmStats())
 
@@ -99,7 +95,7 @@ def test_e15_scatter_gather_speedup(capsys):
         )
         mono_seconds = time_call(run_mono)
         fleet_seconds = time_call(run_fleet)
-        ratio = mono_seconds / fleet_seconds if fleet_seconds else float("inf")
+        ratio = fleet_seconds / mono_seconds if mono_seconds else float("inf")
         ratios.append(ratio)
         rows.append(
             [
@@ -121,14 +117,14 @@ def test_e15_scatter_gather_speedup(capsys):
         "dispatched",
         "mono_ms",
         "fleet_ms",
-        "speedup",
+        "overhead",
     ]
     with capsys.disabled():
         print_table(
             headers,
             rows,
             title="\nE15: 4-shard scatter-gather vs monolithic"
-            f" (XMark items={items} x{SHARDS}, executor={executor_mode})",
+            f" (XMark items={items} x{SHARDS})",
         )
 
     pruning_meta = _pruning_table(capsys)
@@ -139,29 +135,17 @@ def test_e15_scatter_gather_speedup(capsys):
         meta={
             "items": items,
             "shards": SHARDS,
-            "executor_mode": executor_mode,
             "cpu_count": os.cpu_count(),
             "repeats": 3,
-            "median_speedup": statistics.median(ratios),
+            "median_overhead": statistics.median(ratios),
             "pruning": pruning_meta,
         },
     )
 
-    # The tentpole gate: >= 2x median speedup — only meaningful where
-    # the scatter actually has cores to spread over.
-    if (os.cpu_count() or 1) >= 4 and executor_mode == "process":
-        median_ratio = statistics.median(ratios)
-        shape_check(
-            median_ratio >= 2.0,
-            f"scatter-gather median speedup {median_ratio:.2f}x < 2x",
-        )
-
 
 def _pruning_table(capsys) -> dict:
     """Shard-pruned routing on a heterogeneous 4-shard corpus."""
-    fleet = ShardedDatabase.from_document(
-        _mixed_collection(), SHARDS, executor_mode="serial"
-    )
+    fleet = ShardedDatabase.from_document(_mixed_collection(), SHARDS)
     queries = [
         ("dblp-only", "//article/author"),
         ("xmark-only", "//item/name"),

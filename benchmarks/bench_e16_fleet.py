@@ -60,7 +60,6 @@ def _fleet_db(hedge_ms: float) -> ShardedDatabase:
     return ShardedDatabase.from_document(
         _corpus(),
         SHARDS,
-        executor_mode="serial",
         replicas=REPLICAS,
         fleet_config=FleetConfig(
             replicas=REPLICAS,

@@ -34,20 +34,13 @@ from repro.twig.parse import parse_twig
 class SegmentedDatabase:
     """Query facade over a :class:`~repro.write.segments.SegmentedCorpus`."""
 
-    def __init__(
-        self,
-        corpus,
-        executor_mode: str = "serial",
-        max_workers: int | None = None,
-    ) -> None:
+    def __init__(self, corpus) -> None:
         self._corpus = corpus
-        self._executor_mode = executor_mode
-        self._max_workers = max_workers
         #: Reentrant: installing a view stamps the generation, and both
         #: entry points take the lock.
         self._lock = threading.RLock()
         self._serving_generation = 0
-        self._view = corpus.build_view(executor_mode, max_workers)
+        self._view = corpus.build_view()
         self.expanded_attributes = False
         #: The attached single-writer mutation pipeline (set by
         #: :func:`repro.write.writer.open_writable_database`); ``None``
@@ -68,9 +61,9 @@ class SegmentedDatabase:
         """Swap in a freshly built view and advance the generation.
 
         The old view is *not* closed here: in-flight requests may still
-        hold it (a closed executor refuses work), and dropping the last
-        reference closes its executor via ``__del__`` — the same
-        retire-by-GC contract hot reload uses.
+        hold it (a closed executor refuses work), and a view holds no
+        pools or threads, so dropping the last reference retires it —
+        the same retire-by-GC contract hot reload uses.
         """
         with self._lock:
             self._view = view

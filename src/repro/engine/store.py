@@ -32,10 +32,10 @@ The hot sections — columnar label columns (``columnar.raw``), term
 postings (``terms.raw``), completion arrays (``completion.raw`` /
 ``completion.keys``) — are raw so that :func:`load_snapshot` with
 ``mmap=True`` can serve them as ``memoryview`` slices of one shared
-mapping: warm start is O(header), nothing is inflated, and forked shard
-workers plus co-hosted replicas share the OS page cache.  Cold object
-sections (the document tree, the label store / DataGuide) keep the
-zlib-pickle path.
+mapping: warm start is O(header), nothing is inflated, and pre-forked
+serving processes plus co-hosted replicas share the OS page cache.
+Cold object sections (the document tree, the label store / DataGuide)
+keep the zlib-pickle path.
 
 Version 3 has the same framing; its ``labels`` section additionally
 carries two retired label columns and a pickled child-tag table, which
@@ -1459,8 +1459,7 @@ def load_sharded_snapshot(
     path: str | os.PathLike[str],
     scorer: LotusXScorer | None = None,
     eager: bool = False,
-    executor_mode: str = "auto",
-    max_workers: int | None = None,
+    executor_mode: str = "serial",
     replicas: int = 1,
     fleet_config=None,
     mmap: bool | str = False,
@@ -1472,12 +1471,17 @@ def load_sharded_snapshot(
     (the facade's merged guide and term statistics touch the labels and
     terms sections at construction, but completion tries and columnar
     streams wait for the first query, or ``eager=True``).  ``mmap`` is
-    forwarded to each shard's :func:`load_snapshot` — with forked
-    scatter-gather workers the shard mappings are inherited across the
-    fork, so every worker shares one set of physical pages.
+    forwarded to each shard's :func:`load_snapshot` — processes forked
+    after the load (pre-fork serving) inherit the shard mappings, so they
+    all share one set of physical pages.
     """
     from repro.shard.database import ShardedDatabase
     from repro.shard.partitioner import ShardSpec
+
+    # Scatters always run inline; the keyword survives only for the
+    # ledger's traced run, which names "serial" (goes with ROADMAP item 4b).
+    if executor_mode != "serial":
+        raise ValueError(f"unknown executor mode: {executor_mode!r}")
 
     manifest, entries = _read_shard_manifest(path)
     target = Path(path)
@@ -1493,8 +1497,6 @@ def load_sharded_snapshot(
         databases,
         specs,
         source_document=None,
-        executor_mode=executor_mode,
-        max_workers=max_workers,
         scorer=scorer,
         synonyms=synonyms,
         replicas=replicas,

@@ -8,9 +8,10 @@ retries with jittered backoff, and tail-latency hedging — so one slow or
 dead replica costs milliseconds, not the request.
 
 Entry points: :class:`~repro.fleet.fleet.ReplicaFleet` (the router),
-:class:`~repro.fleet.fleet.FleetConfig` (tuning), wired into
-:class:`~repro.shard.executor.ShardExecutor` by passing ``replicas`` to
-:class:`~repro.shard.database.ShardedDatabase`.
+:class:`~repro.fleet.fleet.FleetConfig` (tuning).  Passing ``replicas``
+to :class:`~repro.shard.database.ShardedDatabase` routes every shard
+task of its inline scatter
+(:class:`~repro.shard.executor.ShardExecutor`) through the fleet.
 """
 
 from repro.fleet.fleet import FleetConfig, ReplicaFleet, ReplicaGroup

@@ -41,16 +41,12 @@ class Fault:
     ``site`` is an exact site name or an ``fnmatch`` pattern.  Hits are
     counted per fault: the first ``skip`` hits pass through untouched,
     then the fault strikes at most ``times`` times (``None`` = always).
-    ``exit_code`` hard-kills the *process* hosting the site with
-    ``os._exit`` — the only way to simulate a killed pool worker
-    deterministically; never use it at a site the parent process fires.
     """
 
     site: str
     latency_s: float = 0.0
     error: BaseException | type[BaseException] | None = None
     exhaust_deadline: bool = False
-    exit_code: int | None = None
     times: int | None = None
     skip: int = 0
     #: Bookkeeping, mutated under the registry lock.
@@ -136,8 +132,6 @@ def fire(site: str, deadline=None) -> None:
             time.sleep(fault.latency_s)
         if fault.exhaust_deadline and deadline is not None:
             deadline.exhaust()
-        if fault.exit_code is not None:
-            os._exit(fault.exit_code)
         if fault.error is not None:
             error = fault.error
             raise error() if isinstance(error, type) else error
@@ -160,8 +154,8 @@ def parse_spec(spec: str) -> list[Fault]:
 
     Grammar: faults separated by ``;``, each ``site:opt=value,opt=value``
     with options ``error`` (message; raises ``RuntimeError``), ``latency``
-    (seconds), ``exhaust`` (``1``/``true``), ``exit`` (process exit
-    code), ``times`` and ``skip`` (ints).  Example::
+    (seconds), ``exhaust`` (``1``/``true``), ``times`` and ``skip``
+    (ints).  Example::
 
         fleet.replica.0.1:error=crash;fleet.replica.1.*:latency=0.05,times=3
 
@@ -187,8 +181,6 @@ def parse_spec(spec: str) -> list[Fault]:
                 kwargs["latency_s"] = float(value)
             elif key == "exhaust":
                 kwargs["exhaust_deadline"] = value.lower() in ("", "1", "true")
-            elif key == "exit":
-                kwargs["exit_code"] = int(value)
             elif key in ("times", "skip"):
                 kwargs[key] = int(value)
             else:

@@ -3,8 +3,8 @@
 Splits a corpus by top-level subtrees into N self-contained shard
 databases whose region labels live in global coordinates, then serves
 the full engine API over the fleet — pruning shards that cannot answer,
-scattering work across threads or forked processes under deadline
-budgets, and merging per-shard answers into globally exact results.
+running each surviving shard's work inline under the caller's deadline,
+and merging per-shard answers into globally exact results.
 """
 
 from repro.shard.database import ShardedDatabase, sharded_from_plan

@@ -5,9 +5,8 @@ API over a fleet of per-shard databases (see
 :mod:`repro.shard.partitioner`).  Per call:
 
 1. the **router** prunes shards that provably cannot answer;
-2. the **executor** scatters the work over the surviving shards
-   (serial / threads / forked processes), handing each the caller's
-   remaining deadline budget;
+2. the **executor** runs the work on each surviving shard in turn,
+   inline, handing each the caller's deadline budget left when it starts;
 3. the **merger** combines per-shard answers into globally exact results
    — document-order merge for twig matches, global-idf rescoring for
    ranked search, root-answer resolution for keyword search, and
@@ -51,7 +50,6 @@ from repro.shard.merger import (
     RootTermView,
     ShardKeywordHit,
     ShardedCompletionIndex,
-    matches_from_wire,
     merge_guides,
     merge_match_lists,
     merge_statistics,
@@ -93,8 +91,6 @@ class ShardedDatabase:
         databases: Sequence[LotusXDatabase],
         specs: Sequence[ShardSpec],
         source_document: Document | None = None,
-        executor_mode: str = "auto",
-        max_workers: int | None = None,
         scorer: LotusXScorer | None = None,
         synonyms: dict[str, tuple[str, ...]] | None = None,
         replicas: int = 1,
@@ -122,7 +118,9 @@ class ShardedDatabase:
                 config = config.with_replicas(replicas)
             self.fleet = ReplicaFleet(self.shards, config)
         self.executor = ShardExecutor(
-            self.shards, executor_mode, max_workers, fleet=self.fleet
+            self.shards,
+            [spec.child_ordinal_offsets for spec in self.specs],
+            fleet=self.fleet,
         )
         self.router = ShardRouter(self.shards, self.spine_tag)
         self.guide = merge_guides(self.shards, self.spine_tag)
@@ -269,8 +267,8 @@ class ShardedDatabase:
         return self
 
     def close(self) -> None:
-        """Shut down the scatter-gather pools, the replica fleet, and
-        each shard that holds closeable resources (snapshot mappings)."""
+        """Close the executor, the replica fleet, and each shard that
+        holds closeable resources (snapshot mappings)."""
         self.executor.close()
         if self.fleet is not None:
             self.fleet.close()
@@ -360,7 +358,6 @@ class ShardedDatabase:
             "serving_generation": self._serving_generation,
             "autocomplete_cache": self.autocomplete.cache_info(),
             "shard_count": len(self.shards),
-            "executor_mode": self.executor.mode,
             "router": self.router.statistics(),
             "per_shard": [shard.cache_statistics() for shard in self.shards],
         }
@@ -418,7 +415,7 @@ class ShardedDatabase:
         Returns the globally merged, document-ordered matches, a flag
         marking that at least one shard ran out of budget (its partial
         answers are still merged in — partial-result salvage), and the
-        indices of shards that *failed* outright (worker broke or every
+        indices of shards that *failed* outright (task raised or every
         replica of the group is down): their answers are missing from the
         merge and the caller must degrade or reject the response.
         """
@@ -429,37 +426,21 @@ class ShardedDatabase:
             return [], False, []
         payload = {
             "pattern": pattern,
-            "algorithm": algorithm.value,
+            "algorithm": algorithm,
             "prune_streams": prune_streams,
             "collect_stats": stats is not None,
         }
-        outcomes = self.executor.run(
-            dispatch,
-            "matches",
-            payload,
-            deadline,
-            signature=(pattern.signature(), algorithm, prune_streams),
-        )
-        per_shard = [
-            matches_from_wire(
-                self.shards[outcome.shard_index],
-                outcome.shard_index,
-                self.specs[outcome.shard_index].child_ordinal_offsets,
-                outcome.payload["matches"],
-            )
-            for outcome in outcomes
-            if not outcome.failed
-        ]
-        merged = merge_match_lists(per_shard)
+        outcomes = self.executor.run(dispatch, "matches", payload, deadline)
+        merged = merge_match_lists([outcome.answers for outcome in outcomes])
         if stats is not None:
             for outcome in outcomes:
-                shard_stats = outcome.payload.get("stats")
-                if not shard_stats:
+                shard_stats = outcome.stats
+                if shard_stats is None:
                     continue
-                stats.elements_scanned += shard_stats["elements_scanned"]
-                stats.intermediate_results += shard_stats["intermediate_results"]
-                stats.matches += shard_stats["matches"]
-                for note, value in shard_stats["notes"].items():
+                stats.elements_scanned += shard_stats.elements_scanned
+                stats.intermediate_results += shard_stats.intermediate_results
+                stats.matches += shard_stats.matches
+                for note, value in shard_stats.notes.items():
                     stats.notes[note] = stats.notes.get(note, 0) + value
             stats.notes["shards_dispatched"] = len(dispatch)
         tripped = any(outcome.tripped for outcome in outcomes)
@@ -728,14 +709,11 @@ class ShardedDatabase:
         free_terms: set[str] = set()
         dispatched = set(dispatch)
         for outcome in outcomes:
-            if outcome.failed:
-                continue
-            shard = self.shards[outcome.shard_index]
-            for order in outcome.payload["orders"]:
-                if order == 0:
+            for element in outcome.answers:
+                if element.order == 0:
                     continue  # per-shard root replica; resolved globally
-                deep.append((shard.labeled.elements[order], outcome.shard_index))
-            free_terms.update(outcome.payload.get("free", ()))
+                deep.append((element, outcome.shard_index))
+            free_terms.update(outcome.free)
         for index, shard_presence in enumerate(presence):
             if index in dispatched:
                 continue

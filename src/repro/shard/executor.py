@@ -1,132 +1,124 @@
 """Scatter-gather execution of per-shard work.
 
-Three dispatch modes, selectable per :class:`ShardExecutor` or resolved
-per query in ``"auto"`` mode:
+Every scatter runs inline in the caller's thread: one routed shard after
+another, outcomes in shard order.  With a replica fleet configured each
+shard's task goes through the fleet's resilience pipeline (replica
+selection, retries, hedging, breakers); otherwise it runs directly on
+the shard database.
 
-* ``"serial"`` — run every shard task inline (deterministic; the
-  default for tests and the fallback when only one shard is dispatched);
-* ``"thread"`` — a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-  (cheap dispatch; right for warm columnar paths where the per-shard
-  work is small);
-* ``"process"`` — a fork-based
-  :class:`~concurrent.futures.ProcessPoolExecutor` (true parallelism for
-  cold/heavy queries; workers inherit the shard databases copy-on-write
-  through the module-level registry populated *before* the pool forks).
+Tasks return native objects — a twig task its shard's matches as
+:class:`~repro.shard.merger.ShardMatch`\\ es tagged with the shard's
+xpath ordinal offsets, a keyword task its shard's answer elements.
 
-``"auto"`` sends a pattern's first evaluation (cold: streams must be
-built, the per-shard work dominates) to the process pool and later
-evaluations (warm: the forked workers hold compiled plans) to threads.
-
-The wire protocol is deliberately tiny: workers return shard-local
-``(node_id, order)`` pairs, never :class:`Match` objects — the parent
-holds its own reference to every shard database and rebuilds matches by
-indexing ``labeled.elements`` (orders are shard-local and dense).
-Deadlines never cross the process boundary either; each worker gets a
-remaining-milliseconds budget and builds its own
-:class:`~repro.resilience.deadline.Deadline`.  A shard that trips its
-budget returns whatever partial matches it salvaged plus a ``tripped``
-flag instead of raising, so a straggler costs its own results only.
+Each shard gets its own :class:`~repro.resilience.deadline.Deadline`
+holding the caller's wall-clock budget *left when that shard starts*,
+so a scatter never runs past the caller's deadline (the caller's step
+budget stays with the caller).  A shard that trips its budget returns
+whatever partial answers it salvaged plus a ``tripped`` flag instead of
+raising, so the answers gathered from the other shards are kept.
 """
 
 from __future__ import annotations
-
-import multiprocessing
-import os
-import threading
-import uuid
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.engine.database import LotusXDatabase
 from repro.keyword.elca import find_elcas
 from repro.keyword.slca import find_slcas
 from repro.resilience.deadline import Deadline
-from repro.resilience.errors import DeadlineExceeded, ShardsUnavailable
+from repro.resilience.errors import DeadlineExceeded
 from repro.resilience.faults import fault_point
+from repro.shard.merger import ShardMatch
 from repro.twig.algorithms.common import AlgorithmStats
-from repro.twig.pattern import TwigPattern
-from repro.twig.planner import Algorithm
-
-#: Fleets visible to forked workers, keyed by executor id.  Populated
-#: before the process pool is created so the fork inherits it.
-_SHARD_REGISTRY: dict[str, list[LotusXDatabase]] = {}
 
 
 class ShardOutcome:
     """One shard's answer to a scattered task.
 
+    ``answers`` holds the shard's matches (``"matches"`` tasks) or
+    answer elements (``"keyword"`` tasks); ``free`` the keyword terms
+    that witness the corpus root (ELCA only); ``stats`` the shard's
+    algorithm counters when the caller asked for them.
+
     ``tripped`` marks budget exhaustion (partial answers salvaged);
-    ``failed`` marks a shard whose evaluation *broke* — the worker
-    raised, the pool worker died, or (with a replica fleet) every
-    replica of the group was down.  A failed shard contributes nothing
-    to the merge; the coordinator surfaces it as a degraded response
-    instead of failing the whole scatter.
+    ``failed`` marks a shard whose evaluation *broke* — the task raised,
+    or (with a replica fleet) every replica of the group was down.  A
+    failed shard contributes nothing to the merge; the coordinator
+    surfaces it as a degraded response instead of failing the whole
+    scatter.
     """
 
-    __slots__ = ("shard_index", "payload", "tripped", "failed", "error")
+    __slots__ = (
+        "shard_index",
+        "answers",
+        "tripped",
+        "failed",
+        "error",
+        "free",
+        "stats",
+    )
 
     def __init__(
         self,
         shard_index: int,
-        payload: dict,
+        answers: list,
         tripped: bool,
         failed: bool = False,
         error: str = "",
+        free: tuple[str, ...] = (),
+        stats: AlgorithmStats | None = None,
     ) -> None:
         self.shard_index = shard_index
-        self.payload = payload
+        self.answers = answers
         self.tripped = tripped
         self.failed = failed
         self.error = error
+        self.free = free
+        self.stats = stats
 
 
-def _shard_deadline(budget_ms: float | None) -> Deadline | None:
-    return None if budget_ms is None else Deadline.after_ms(budget_ms)
+def _shard_deadline(deadline: Deadline | None) -> Deadline | None:
+    """A fresh per-shard deadline: the caller's wall-clock budget left
+    right now (``None`` when the caller has no wall-clock limit)."""
+    if deadline is None:
+        return None
+    remaining = deadline.remaining()
+    return None if remaining is None else Deadline(timeout_s=remaining)
 
 
-def _worker_site(payload: dict) -> str:
-    """Per-shard fault site fired at worker-task entry (any mode)."""
-    return f"shard.worker.{payload.get('shard_index', '?')}"
-
-
-def _empty_payload(kind: str, tripped: bool = False) -> dict:
-    """A well-formed zero-answer wire result for ``kind``."""
-    if kind == "keyword":
-        return {"orders": [], "free": [], "truncated": tripped}
-    return {"matches": [], "tripped": tripped}
-
-
-def _matches_task(database: LotusXDatabase, payload: dict) -> dict:
-    """Evaluate a twig pattern on one shard; compact wire result."""
-    deadline = _shard_deadline(payload.get("budget_ms"))
-    fault_point(_worker_site(payload), deadline)
-    pattern: TwigPattern = payload["pattern"]
-    algorithm = Algorithm(payload["algorithm"])
+def _matches_task(
+    database: LotusXDatabase,
+    shard_index: int,
+    ordinal_offsets: dict[str, int],
+    payload: dict,
+    deadline: Deadline | None,
+) -> ShardOutcome:
+    """Evaluate a twig pattern on one shard."""
     stats = AlgorithmStats() if payload.get("collect_stats") else None
     tripped = False
     try:
         matches = database._evaluate(
-            pattern, algorithm, stats, payload["prune_streams"], deadline
+            payload["pattern"],
+            payload["algorithm"],
+            stats,
+            payload["prune_streams"],
+            deadline,
         )
     except DeadlineExceeded as exc:
         matches = exc.partial or []
         tripped = True
-    wire_matches = [
-        [(node_id, element.order) for node_id, element in match.assignments.items()]
+    answers = [
+        ShardMatch(match.assignments, shard_index, ordinal_offsets)
         for match in matches
     ]
-    result: dict = {"matches": wire_matches, "tripped": tripped}
-    if stats is not None:
-        result["stats"] = {
-            "elements_scanned": stats.elements_scanned,
-            "intermediate_results": stats.intermediate_results,
-            "matches": stats.matches,
-            "notes": dict(stats.notes),
-        }
-    return result
+    return ShardOutcome(shard_index, answers, tripped, stats=stats)
 
 
-def _keyword_task(database: LotusXDatabase, payload: dict) -> dict:
+def _keyword_task(
+    database: LotusXDatabase,
+    shard_index: int,
+    ordinal_offsets: dict[str, int],
+    payload: dict,
+    deadline: Deadline | None,
+) -> ShardOutcome:
     """SLCA/ELCA answers for one shard plus the root-witness term bits.
 
     ``free`` lists the query terms that have at least one occurrence
@@ -135,8 +127,6 @@ def _keyword_task(database: LotusXDatabase, payload: dict) -> dict:
     The coordinator ORs these bits across shards to decide whether the
     corpus root is a global ELCA.
     """
-    deadline = _shard_deadline(payload.get("budget_ms"))
-    fault_point(_worker_site(payload), deadline)
     terms = tuple(payload["terms"])
     semantics = payload["semantics"]
     labeled = database.labeled
@@ -175,11 +165,7 @@ def _keyword_task(database: LotusXDatabase, payload: dict) -> dict:
             postings = term_index.postings(term)
             if _any_outside(postings, ranges):
                 free.append(term)
-    return {
-        "orders": [element.order for element in answers],
-        "free": free,
-        "truncated": truncated,
-    }
+    return ShardOutcome(shard_index, answers, truncated, free=tuple(free))
 
 
 def _any_outside(postings, ranges: list[tuple[int, int]]) -> bool:
@@ -206,101 +192,30 @@ _TASKS = {
 }
 
 
-def _process_entry(registry_key: str, shard_index: int, kind: str, payload: dict) -> dict:
-    """Top-level worker entry point (importable, hence picklable)."""
-    fleet = _SHARD_REGISTRY.get(registry_key)
-    if fleet is None:
-        raise RuntimeError(
-            f"shard fleet {registry_key!r} not present in worker process"
-        )
-    return _TASKS[kind](fleet[shard_index], payload)
-
-
-def _fork_available() -> bool:
-    try:
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:  # pragma: no cover - platform probing
-        return False
-
-
 class ShardExecutor:
     """Scatters tasks over a shard fleet and gathers the outcomes."""
-
-    #: Recognized dispatch modes.
-    MODES = ("auto", "serial", "thread", "process")
 
     def __init__(
         self,
         databases: list[LotusXDatabase],
-        mode: str = "auto",
-        max_workers: int | None = None,
+        ordinal_offsets: list[dict[str, int]],
         fleet=None,
     ) -> None:
-        if mode not in self.MODES:
-            raise ValueError(f"unknown executor mode: {mode!r}")
         self._databases = databases
-        self._mode = mode
-        self._max_workers = max_workers or min(
-            len(databases), max(1, (os.cpu_count() or 2))
-        )
-        self._registry_key = uuid.uuid4().hex
-        _SHARD_REGISTRY[self._registry_key] = databases
-        self._lock = threading.Lock()
-        self._thread_pool: ThreadPoolExecutor | None = None
-        self._process_pool: ProcessPoolExecutor | None = None
-        self._warm_signatures: set = set()
-        self._closed = False
+        self._ordinal_offsets = ordinal_offsets
         #: Optional :class:`~repro.fleet.fleet.ReplicaFleet` — when set,
         #: every per-shard sub-request goes through its resilience
-        #: pipeline (replica selection, retries, hedging, breakers)
-        #: instead of hitting the shard database directly.  Fleet state
-        #: lives in this process, so fleet dispatch never uses the
-        #: process pool (``"process"``/cold-``"auto"`` fall back to
-        #: threads).
+        #: pipeline instead of hitting the shard database directly.
         self._fleet = fleet
-
-    @property
-    def mode(self) -> str:
-        return self._mode
-
-    @property
-    def fleet(self):
-        return self._fleet
+        self._closed = False
 
     @property
     def closed(self) -> bool:
         return self._closed
 
     def close(self) -> None:
-        """Shut down pools and drop the fleet from the fork registry.
-
-        Idempotent and safe at any point — pools are torn down with
-        ``cancel_futures=True`` so a tripped or abandoned scatter-gather
-        cannot leak worker threads/processes, and any pool created
-        concurrently with the close is shut down rather than leaked
-        (``_ensure_*`` refuses to build pools once closed).
-        """
-        with self._lock:
-            already_closed = self._closed
-            self._closed = True
-            thread_pool, self._thread_pool = self._thread_pool, None
-            process_pool, self._process_pool = self._process_pool, None
-        if thread_pool is not None:
-            thread_pool.shutdown(wait=False, cancel_futures=True)
-        if process_pool is not None:
-            process_pool.shutdown(wait=False, cancel_futures=True)
-        if not already_closed:
-            _SHARD_REGISTRY.pop(self._registry_key, None)
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
+        """Refuse further scatters (idempotent)."""
+        self._closed = True
 
     def run(
         self,
@@ -308,208 +223,52 @@ class ShardExecutor:
         kind: str,
         payload: dict,
         deadline: Deadline | None = None,
-        signature=None,
     ) -> list[ShardOutcome]:
-        """Run ``kind`` with ``payload`` on every listed shard.
+        """Run ``kind`` with ``payload`` on every listed shard, in order.
 
-        Every shard receives the parent's *remaining* budget — shards run
-        concurrently, so each may use the full residue — and outcomes
-        come back in shard order.  ``signature`` (a pattern signature)
-        feeds the cold/warm routing of ``"auto"`` mode.
-
-        Failure containment: a shard whose evaluation raises (worker
-        exception, killed pool worker) comes back as a *failed* outcome
-        with an empty payload rather than propagating — except
-        :class:`DeadlineExceeded`, which marks the shard tripped (an
-        answer, just truncated).  The coordinator decides whether failed
-        shards degrade or reject the response.
+        Failure containment: a shard whose task raises comes back as a
+        *failed* outcome with no answers rather than propagating —
+        except :class:`DeadlineExceeded`, which marks the shard tripped
+        (an answer, just truncated).  The coordinator decides whether
+        failed shards degrade or reject the response.
         """
         if self._closed:
             raise RuntimeError("ShardExecutor is closed")
-        budget_ms = None
-        if deadline is not None:
-            remaining = deadline.remaining()
-            if remaining is not None:
-                budget_ms = max(0.0, remaining * 1000.0)
-        payloads = {}
-        for index in shard_indices:
-            shard_payload = dict(payload)
-            shard_payload["shard_index"] = index
-            if budget_ms is not None:
-                shard_payload["budget_ms"] = budget_ms
-            payloads[index] = shard_payload
-        if self._fleet is not None:
-            return [
-                self._fleet_call(index, kind, payloads[index], deadline)
-                for index in shard_indices
-            ]
-        mode = self._resolve_mode(shard_indices, signature)
-        if mode == "serial":
-            return [
-                self._guarded_local(index, kind, payloads[index])
-                for index in shard_indices
-            ]
-        if mode == "thread":
-            pool = self._ensure_thread_pool()
-            futures = [
-                pool.submit(self._guarded_local, index, kind, payloads[index])
-                for index in shard_indices
-            ]
-            return [future.result() for future in futures]
-        return self._run_process(shard_indices, kind, payloads)
-
-    def _run_process(
-        self, shard_indices: list[int], kind: str, payloads: dict
-    ) -> list[ShardOutcome]:
-        pool = self._ensure_process_pool()
-        futures = [
-            pool.submit(
-                _process_entry, self._registry_key, index, kind, payloads[index]
-            )
-            for index in shard_indices
-        ]
+        task = _TASKS[kind]
         outcomes = []
-        broken = False
-        for index, future in zip(shard_indices, futures):
-            try:
-                result = future.result()
-            except BrokenProcessPool as exc:
-                broken = True
-                outcomes.append(
-                    ShardOutcome(
-                        index,
-                        _empty_payload(kind),
-                        tripped=False,
-                        failed=True,
-                        error=f"process pool broken: {exc}",
-                    )
-                )
-                continue
-            except Exception as exc:
-                outcomes.append(
-                    ShardOutcome(
-                        index,
-                        _empty_payload(kind),
-                        tripped=False,
-                        failed=True,
-                        error=str(exc) or type(exc).__name__,
-                    )
-                )
-                continue
-            outcomes.append(
-                ShardOutcome(
+        for index in shard_indices:
+
+            def shard_call(
+                database: LotusXDatabase, index: int = index
+            ) -> ShardOutcome:
+                # Called per attempt: a fleet retry or hedge leg that
+                # starts late gets the budget left when *it* starts.
+                # ``index`` is bound now because a losing hedge leg may
+                # still run after the loop has moved on.
+                shard_deadline = _shard_deadline(deadline)
+                fault_point(f"shard.worker.{index}", shard_deadline)
+                return task(
+                    database,
                     index,
-                    result,
-                    bool(result.get("tripped") or result.get("truncated")),
+                    self._ordinal_offsets[index],
+                    payload,
+                    shard_deadline,
                 )
-            )
-        if broken:
-            # A killed worker poisons the whole fork pool.  Drop it so
-            # the next run builds a fresh one (self-heal) instead of
-            # failing every future scatter.
-            with self._lock:
-                dead, self._process_pool = self._process_pool, None
-            if dead is not None:
-                dead.shutdown(wait=False, cancel_futures=True)
+
+            try:
+                if self._fleet is None:
+                    outcome = shard_call(self._databases[index])
+                else:
+                    outcome = self._fleet.call(index, shard_call, deadline)
+            except DeadlineExceeded:
+                outcome = ShardOutcome(index, [], tripped=True)
+            except Exception as exc:
+                outcome = ShardOutcome(
+                    index,
+                    [],
+                    tripped=False,
+                    failed=True,
+                    error=str(exc) or type(exc).__name__,
+                )
+            outcomes.append(outcome)
         return outcomes
-
-    def _guarded_local(
-        self, shard_index: int, kind: str, payload: dict
-    ) -> ShardOutcome:
-        """Run one shard task inline, containing non-deadline failures."""
-        try:
-            result = _TASKS[kind](self._databases[shard_index], payload)
-        except DeadlineExceeded:
-            return ShardOutcome(
-                shard_index, _empty_payload(kind, tripped=True), tripped=True
-            )
-        except Exception as exc:
-            return ShardOutcome(
-                shard_index,
-                _empty_payload(kind),
-                tripped=False,
-                failed=True,
-                error=str(exc) or type(exc).__name__,
-            )
-        return ShardOutcome(
-            shard_index,
-            result,
-            bool(result.get("tripped") or result.get("truncated")),
-        )
-
-    def _fleet_call(
-        self, shard_index: int, kind: str, payload: dict, deadline: Deadline | None
-    ) -> ShardOutcome:
-        """Route one shard task through the replica fleet.
-
-        The task closure recomputes the shard budget from the *live*
-        deadline at execution time — a retry or hedge leg that starts
-        late must not inherit the budget computed when the scatter began.
-        """
-
-        def task(database: LotusXDatabase) -> dict:
-            shard_payload = dict(payload)
-            if deadline is not None:
-                remaining = deadline.remaining()
-                if remaining is not None:
-                    shard_payload["budget_ms"] = max(0.0, remaining * 1000.0)
-            return _TASKS[kind](database, shard_payload)
-
-        try:
-            result = self._fleet.call(shard_index, task, deadline)
-        except ShardsUnavailable as exc:
-            return ShardOutcome(
-                shard_index,
-                _empty_payload(kind),
-                tripped=False,
-                failed=True,
-                error=str(exc),
-            )
-        except DeadlineExceeded:
-            return ShardOutcome(
-                shard_index, _empty_payload(kind, tripped=True), tripped=True
-            )
-        return ShardOutcome(
-            shard_index,
-            result,
-            bool(result.get("tripped") or result.get("truncated")),
-        )
-
-    def _resolve_mode(self, shard_indices: list[int], signature) -> str:
-        if self._mode == "serial" or len(shard_indices) <= 1:
-            return "serial"
-        if self._mode in ("thread", "process"):
-            if self._mode == "process" and not _fork_available():
-                return "thread"
-            return self._mode
-        # auto: first sighting of a pattern is cold work (streams must be
-        # built) -> processes; repeat sightings hit warm per-shard plans
-        # where dispatch overhead dominates -> threads.
-        if signature is None or not _fork_available():
-            return "thread"
-        with self._lock:
-            warm = signature in self._warm_signatures
-            self._warm_signatures.add(signature)
-        return "thread" if warm else "process"
-
-    def _ensure_thread_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("ShardExecutor is closed")
-            if self._thread_pool is None:
-                self._thread_pool = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="lotusx-shard",
-                )
-            return self._thread_pool
-
-    def _ensure_process_pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("ShardExecutor is closed")
-            if self._process_pool is None:
-                context = multiprocessing.get_context("fork")
-                self._process_pool = ProcessPoolExecutor(
-                    max_workers=self._max_workers, mp_context=context
-                )
-            return self._process_pool

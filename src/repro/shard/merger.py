@@ -71,24 +71,6 @@ def global_order_key(match: Match) -> tuple[int, ...]:
     )
 
 
-def matches_from_wire(
-    database: LotusXDatabase,
-    shard_index: int,
-    ordinal_offsets: dict[str, int],
-    wire_matches: list,
-) -> list[ShardMatch]:
-    """Rebuild matches from the executor's ``(node_id, order)`` pairs."""
-    elements = database.labeled.elements
-    return [
-        ShardMatch(
-            {node_id: elements[order] for node_id, order in pairs},
-            shard_index,
-            ordinal_offsets,
-        )
-        for pairs in wire_matches
-    ]
-
-
 def merge_match_lists(per_shard: list[list[Match]]) -> list[Match]:
     """Concatenate, de-duplicate on global identity, sort globally.
 

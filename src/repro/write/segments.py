@@ -424,12 +424,12 @@ class SegmentedCorpus:
     # Views
     # ------------------------------------------------------------------
 
-    def build_view(self, executor_mode: str = "serial", max_workers: int | None = None):
+    def build_view(self):
         """A fresh read view over the current segments.
 
-        The view is a :class:`~repro.shard.database.ShardedDatabase` in
-        serial mode (segments live in-process; scatter overhead would be
-        pure loss): coordinator state — merged guide, completion facade,
+        The view is a :class:`~repro.shard.database.ShardedDatabase`
+        whose scatters run over the segments inline, like any sharded
+        corpus: coordinator state — merged guide, completion facade,
         global term stats — is rebuilt per view, while the expensive
         per-segment indexes are reused as-is.  ``source_document=None``
         lets the fallback reassemble the *live* corpus on demand.
@@ -440,8 +440,6 @@ class SegmentedCorpus:
             [segment.database for segment in self.segments],
             [segment.spec for segment in self.segments],
             source_document=None,
-            executor_mode=executor_mode,
-            max_workers=max_workers,
             scorer=self.scorer,
             synonyms=self.synonyms,
         )

@@ -87,7 +87,6 @@ class DocumentWriter:
         synchronous: bool = False,
         compact_threshold: int | None = None,
         holder=None,
-        executor_mode: str = "serial",
     ) -> None:
         self._corpus = corpus
         self._database = database
@@ -97,7 +96,6 @@ class DocumentWriter:
         self._compact_threshold = max(
             2, compact_threshold if compact_threshold is not None else self.COMPACT_THRESHOLD
         )
-        self._executor_mode = executor_mode
         #: Serializes submissions (validation + WAL append + seqno).
         self._submit_lock = threading.Lock()
         #: Guards queue/progress state and wakes both worker and waiters.
@@ -249,7 +247,7 @@ class DocumentWriter:
             fault_point("write.apply")
             result = self._corpus.apply(batch)
             self._maybe_compact()
-            view = self._corpus.build_view(self._executor_mode)
+            view = self._corpus.build_view()
             self._database._install_view(view)
             if self._holder is not None:
                 self._holder.swap(self._database)
@@ -371,7 +369,7 @@ class DocumentWriter:
                 )
             merged = self._corpus.compact()
             if merged:
-                view = self._corpus.build_view(self._executor_mode)
+                view = self._corpus.build_view()
                 self._database._install_view(view)
                 if self._holder is not None:
                     self._holder.swap(self._database)
@@ -422,7 +420,6 @@ def open_writable_database(
     holder=None,
     synchronous: bool = False,
     compact_threshold: int | None = None,
-    executor_mode: str = "serial",
     document_ids=None,
 ):
     """Open (or recover) a writable database over ``base_database``.
@@ -466,7 +463,7 @@ def open_writable_database(
         ]
         corpus.apply(mutations)
         last_applied = replay[-1].seqno
-    database = SegmentedDatabase(corpus, executor_mode=executor_mode)
+    database = SegmentedDatabase(corpus)
     database.writer = DocumentWriter(
         corpus,
         database,
@@ -475,6 +472,5 @@ def open_writable_database(
         synchronous=synchronous,
         compact_threshold=compact_threshold,
         holder=holder,
-        executor_mode=executor_mode,
     )
     return database

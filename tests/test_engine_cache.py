@@ -93,7 +93,7 @@ def test_cache_key_includes_node_ids(facade):
         if facade == "mono":
             return LotusXDatabase.from_string(SMALL_XML)
         return ShardedDatabase.from_document(
-            parse_string(SMALL_XML), shards=2, executor_mode="serial"
+            parse_string(SMALL_XML), shards=2
         )
 
     warm, fresh = build(), build()

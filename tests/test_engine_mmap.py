@@ -321,10 +321,10 @@ def test_sharded_snapshot_mmap_round_trip(tmp_path):
     from repro.shard.database import ShardedDatabase
 
     document = generate_dblp(publications=24, seed=3)
-    sharded = ShardedDatabase.from_document(document, 2, executor_mode="serial")
+    sharded = ShardedDatabase.from_document(document, 2)
     target = tmp_path / "fleet"
     save_sharded_snapshot(sharded, target)
-    loaded = load_sharded_snapshot(target, executor_mode="serial", mmap=True)
+    loaded = load_sharded_snapshot(target, mmap=True)
     try:
         assert is_mmap_backed(loaded)
         for query in QUERIES:
@@ -339,11 +339,11 @@ def test_sharded_close_releases_every_mapping(tmp_path):
     from repro.shard.database import ShardedDatabase
 
     document = generate_dblp(publications=10, seed=5)
-    sharded = ShardedDatabase.from_document(document, 2, executor_mode="serial")
+    sharded = ShardedDatabase.from_document(document, 2)
     target = tmp_path / "fleet"
     save_sharded_snapshot(sharded, target)
     sharded.close()
-    loaded = load_sharded_snapshot(target, executor_mode="serial", mmap=True)
+    loaded = load_sharded_snapshot(target, mmap=True)
     mappings = [shard._reader.mapping for shard in loaded.shards]
     assert all(m.references == 1 for m in mappings)
     loaded.close()

@@ -34,7 +34,7 @@ QUERIES = [
 @pytest.fixture(scope="module")
 def sharded_db():
     database = ShardedDatabase.from_document(
-        generate_dblp(publications=150, seed=11), shards=2, executor_mode="serial"
+        generate_dblp(publications=150, seed=11), shards=2
     )
     yield database
     database.close()

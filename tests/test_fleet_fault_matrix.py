@@ -54,7 +54,6 @@ def _drill_pair(seed: int):
     sharded = ShardedDatabase.from_document(
         _harness_document(seed),
         SHARDS,
-        executor_mode="serial",
         replicas=2,
         fleet_config=FAST_FLEET,
     )
@@ -99,7 +98,6 @@ def test_one_replica_of_each_shard_hung_is_invisible():
         sharded = ShardedDatabase.from_document(
             _harness_document(seed),
             SHARDS,
-            executor_mode="serial",
             replicas=2,
             fleet_config=config,
         )
@@ -121,7 +119,6 @@ def fleet_corpus():
     sharded = ShardedDatabase.from_string(
         xml_text,
         3,
-        executor_mode="thread",
         replicas=2,
         fleet_config=FleetConfig(
             replicas=2,

@@ -64,12 +64,12 @@ def test_mmap_sharded_matches_agree_with_oracle(batch, tmp_path):
         prune = seed % 3 == 0
         oracle_db = LotusXDatabase(_harness_document(seed))
         sharded = ShardedDatabase.from_document(
-            _harness_document(seed), SHARDS, executor_mode="serial"
+            _harness_document(seed), SHARDS
         )
         target = tmp_path / f"fleet-{seed}"
         save_sharded_snapshot(sharded, target)
         sharded.close()
-        mapped = load_sharded_snapshot(target, executor_mode="serial", mmap=True)
+        mapped = load_sharded_snapshot(target, mmap=True)
         assert is_mmap_backed(mapped)
         pattern = _harness_pattern(seed, shape)
         context = f"seed={seed} shape={shape} prune={prune} pattern={pattern}"

@@ -49,7 +49,7 @@ import json, os, resource, sys
 from repro.engine.store import is_mmap_backed, load_sharded_snapshot
 
 target, probes, workers = sys.argv[1], json.loads(sys.argv[2]), int(sys.argv[3])
-db = load_sharded_snapshot(target, executor_mode="serial", mmap=True)
+db = load_sharded_snapshot(target, mmap=True)
 assert is_mmap_backed(db)
 db.warm_hot()
 # Touch the mapped pages and build the oracle before forking so workers
@@ -91,7 +91,7 @@ def test_forked_workers_share_the_mapping(tmp_path):
         pytest.skip("drill requires os.fork")
 
     sharded = ShardedDatabase.from_document(
-        generate_dblp(publications=2000, seed=42), SHARDS, executor_mode="serial"
+        generate_dblp(publications=2000, seed=42), SHARDS
     )
     target = tmp_path / "fleet"
     save_sharded_snapshot(sharded, target)

@@ -389,7 +389,7 @@ def test_per_shard_term_views_score_with_global_idf():
     document_rng = random.Random(78)
     mono = LotusXDatabase(random_document(document_rng, 60))
     sharded = ShardedDatabase.from_document(
-        random_document(random.Random(78), 60), shards=3, executor_mode="serial"
+        random_document(random.Random(78), 60), shards=3
     )
     try:
         compared = 0

@@ -61,7 +61,7 @@ def test_sharded_matches_agree_with_mono(batch):
         prune = seed % 3 == 0
         mono = LotusXDatabase(_harness_document(seed))
         sharded = ShardedDatabase.from_document(
-            _harness_document(seed), SHARDS, executor_mode="serial"
+            _harness_document(seed), SHARDS
         )
         pattern = _harness_pattern(seed, shape)
         context = f"seed={seed} shape={shape} prune={prune} pattern={pattern}"
@@ -117,7 +117,7 @@ def test_sharded_harness_covers_ordered_optional_columnar():
 def corpus_pair():
     xml_text = generate_dblp_xml(120, 11)
     mono = LotusXDatabase.from_string(xml_text)
-    sharded = ShardedDatabase.from_string(xml_text, 3, executor_mode="thread")
+    sharded = ShardedDatabase.from_string(xml_text, 3)
     yield mono, sharded
     sharded.close()
 
@@ -171,12 +171,12 @@ def test_sharded_statistics_identical(corpus_pair):
 
 
 # ---------------------------------------------------------------------------
-# Executor failure paths: broken workers must degrade, not corrupt
+# Executor failure paths: broken shard tasks must degrade, not corrupt
 # ---------------------------------------------------------------------------
 
 
 class TestExecutorFailurePaths:
-    """Scattered evaluation under worker faults (``shard.worker.<i>``).
+    """Scattered evaluation under shard-task faults (``shard.worker.<i>``).
 
     A failed shard is contained as a failed :class:`ShardOutcome`: its
     answers are missing, the survivors' answers are merged bit-exact, and
@@ -186,19 +186,16 @@ class TestExecutorFailurePaths:
 
     XML = generate_dblp_xml(90, 23)
 
-    def _pair(self, mode: str):
-        from repro.resilience import faults  # noqa: F401 (fixture clears)
-
+    def _pair(self):
         mono = LotusXDatabase.from_string(self.XML)
-        sharded = ShardedDatabase.from_string(self.XML, 3, executor_mode=mode)
+        sharded = ShardedDatabase.from_string(self.XML, 3)
         return mono, sharded
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
-    def test_worker_raising_mid_task_salvages_survivors(self, mode):
+    def test_worker_raising_mid_task_salvages_survivors(self):
         from repro.resilience import faults
         from repro.resilience.errors import ShardsUnavailable
 
-        mono, sharded = self._pair(mode)
+        mono, sharded = self._pair()
         try:
             oracle = _canonical(mono.matches("//article/title"))
             faults.install_spec("shard.worker.1:error=worker blew up")
@@ -218,53 +215,29 @@ class TestExecutorFailurePaths:
         finally:
             sharded.close()
 
-    def test_killed_process_pool_worker_fails_shard_and_heals(self):
-        import multiprocessing
-
-        from repro.resilience import faults
-        from repro.resilience.errors import ShardsUnavailable
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        mono, sharded = self._pair("process")
-        try:
-            oracle = _canonical(mono.matches("//article/title"))
-            # os._exit in the forked worker: the pool breaks exactly like
-            # an OOM-killed worker in production.
-            faults.install_spec("shard.worker.2:exit=1")
-            with pytest.raises(ShardsUnavailable) as excinfo:
-                sharded.matches("//article/title")
-            assert 2 in excinfo.value.down
-            faults.clear()
-            # Self-heal: the broken pool was dropped; the next scatter
-            # builds a fresh one and answers completely.
-            assert _canonical(sharded.matches("//article/title")) == oracle
-        finally:
-            sharded.close()
-
-    def test_one_shard_slow_under_thread_mode_trips_and_salvages(self):
+    def test_last_shard_slow_trips_and_salvages_its_peers(self):
         from repro.resilience import faults
         from repro.resilience.deadline import Deadline
         from repro.resilience.errors import DeadlineExceeded
 
-        mono, sharded = self._pair("thread")
+        mono, sharded = self._pair()
         try:
             oracle = _canonical(mono.matches("//article/title"))
-            faults.install_spec("shard.worker.0:latency=0.5")
+            faults.install_spec("shard.worker.2:latency=0.5")
             with pytest.raises(DeadlineExceeded) as excinfo:
                 sharded.matches(
                     "//article/title", deadline=Deadline.after_ms(80.0)
                 )
             salvaged = _canonical(excinfo.value.partial or [])
-            # The slow shard burned its own budget; its peers' answers
-            # were salvaged and they merge as a subset of the oracle.
+            # The slow shard burned its own budget; the shards dispatched
+            # before it answered, and their merge is a subset of the oracle.
             assert [m for m in oracle if m in salvaged] == salvaged
-            assert len(salvaged) < len(oracle)
+            assert 0 < len(salvaged) < len(oracle)
         finally:
             sharded.close()
 
     def test_run_after_close_is_rejected(self):
-        _, sharded = self._pair("serial")
+        _, sharded = self._pair()
         executor = sharded.executor
         sharded.close()
         sharded.close()  # idempotent

@@ -3,25 +3,26 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import threading
 import urllib.request
 
 import pytest
 
-from repro.datasets import generate_dblp_xml, generate_xmark_xml
+from repro.datasets import generate_dblp_xml
 from repro.engine.database import LotusXDatabase
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import DeadlineExceeded
 from repro.server.app import make_server
 from repro.server.reload import DatabaseHolder, ReloadSource, serving_element_count
 from repro.shard.database import ShardedDatabase
-from repro.shard.executor import _fork_available
+from repro.twig.planner import Algorithm
 
 
 @pytest.fixture(scope="module")
 def fleet():
     database = ShardedDatabase.from_string(
-        generate_dblp_xml(80, 9), 3, executor_mode="serial"
+        generate_dblp_xml(80, 9), 3
     )
     yield database
     database.close()
@@ -42,7 +43,7 @@ def test_router_prunes_infeasible_shards():
         + "".join(f"<cd><artist>a{i} band</artist></cd>" for i in range(6))
         + "</lib>"
     )
-    fleet = ShardedDatabase.from_string(xml_text, 2, executor_mode="serial")
+    fleet = ShardedDatabase.from_string(xml_text, 2)
     try:
         tag_sets = [
             set(shard.labeled.tags()) - {"lib"} for shard in fleet.shards
@@ -87,34 +88,47 @@ def test_cache_statistics_expose_fleet_detail(fleet):
 
 
 # ---------------------------------------------------------------------------
-# Executor modes and deadlines
+# Inline dispatch and deadlines
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "mode",
-    ["thread", pytest.param("process", marks=pytest.mark.skipif(
-        not _fork_available(), reason="fork start method unavailable"
-    ))],
-)
-def test_executor_modes_agree_with_serial(mode):
-    xml_text = generate_xmark_xml(8, 3)
-    serial = ShardedDatabase.from_string(xml_text, 2, executor_mode="serial")
-    other = ShardedDatabase.from_string(xml_text, 2, executor_mode=mode)
+def test_serving_a_sharded_corpus_spawns_nothing():
+    """Scatters run inline: no forked worker, no shard thread pool."""
+    database = ShardedDatabase.from_string(generate_dblp_xml(60, 5), 3)
     try:
-        for query in ("//item/name", '//item[./name~"gold"]', "//person"):
-            expected = [
-                sorted((n, e.region.start) for n, e in m.assignments.items())
-                for m in serial.matches(query)
-            ]
-            got = [
-                sorted((n, e.region.start) for n, e in m.assignments.items())
-                for m in other.matches(query)
-            ]
-            assert got == expected, (mode, query)
+        matches = database.matches("//article[./year]/title")
+        assert len({match.shard for match in matches}) == 3
+        assert database.keyword_search("xml").hits
+        assert multiprocessing.active_children() == []
+        assert not [
+            thread
+            for thread in threading.enumerate()
+            if thread.name.startswith("lotusx-shard")
+        ]
     finally:
-        serial.close()
-        other.close()
+        database.close()
+
+
+def test_each_shard_gets_the_budget_left_when_it_starts(fleet):
+    """A slow first shard spends the scatter's budget: the shards after
+    it start with nothing left and trip instead of running past the
+    caller's deadline."""
+    from repro.resilience import faults
+
+    pattern = fleet.parse_query("//article/title")
+    payload = {
+        "pattern": pattern,
+        "algorithm": Algorithm.AUTO,
+        "prune_streams": False,
+        "collect_stats": False,
+    }
+    faults.install_spec("shard.worker.0:latency=0.2")
+    outcomes = fleet.executor.run(
+        [0, 1, 2], "matches", payload, Deadline.after_ms(80)
+    )
+    assert [outcome.shard_index for outcome in outcomes] == [0, 1, 2]
+    assert outcomes[1].tripped and outcomes[2].tripped
+    assert not any(outcome.failed for outcome in outcomes)
 
 
 def test_expired_deadline_raises_with_partial(fleet):
@@ -142,7 +156,7 @@ def test_serving_element_count_both_flavors(fleet):
 def test_http_api_over_sharded_fleet(tmp_path):
     corpus = tmp_path / "corpus.xml"
     corpus.write_text(generate_dblp_xml(60, 13), encoding="utf-8")
-    database = ShardedDatabase.from_file(corpus, 2, executor_mode="serial")
+    database = ShardedDatabase.from_file(corpus, 2)
     holder = DatabaseHolder(
         database, ReloadSource("xml", str(corpus), shards=2)
     )
@@ -225,7 +239,7 @@ def test_streamed_first_answers_use_global_ordinals_on_four_shards():
     ordinals shard-locally — 8 articles over 4 shards streamed
     ``article[1], article[2]`` four times."""
     mono = LotusXDatabase.from_string(_EIGHT_ARTICLES)
-    sharded = ShardedDatabase.from_string(_EIGHT_ARTICLES, 4, executor_mode="serial")
+    sharded = ShardedDatabase.from_string(_EIGHT_ARTICLES, 4)
     try:
         for query in _STREAM_QUERIES:
             expected, final = _streamed_lines(mono, query, 8)

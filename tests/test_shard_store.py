@@ -29,7 +29,7 @@ def corpus_xml():
 @pytest.fixture(scope="module")
 def snapshot_dir(tmp_path_factory, corpus_xml):
     path = tmp_path_factory.mktemp("snap") / "fleet"
-    database = ShardedDatabase.from_string(corpus_xml, 3, executor_mode="serial")
+    database = ShardedDatabase.from_string(corpus_xml, 3)
     info = save_sharded_snapshot(database, path)
     database.close()
     return path, info
@@ -55,10 +55,18 @@ def test_read_sharded_snapshot_info_matches_save(snapshot_dir):
     assert read_back.section_sizes == info.section_sizes
 
 
+def test_load_accepts_only_the_serial_executor_mode(snapshot_dir):
+    path, _ = snapshot_dir
+    load_sharded_snapshot(path, executor_mode="serial").close()
+    for mode in ("auto", "thread", "process"):
+        with pytest.raises(ValueError):
+            load_sharded_snapshot(path, executor_mode=mode)
+
+
 def test_warm_start_serves_identically(snapshot_dir, corpus_xml):
     path, _ = snapshot_dir
     mono = LotusXDatabase.from_string(corpus_xml)
-    loaded = load_sharded_snapshot(path, executor_mode="serial")
+    loaded = load_sharded_snapshot(path)
     try:
         assert loaded.shard_count == 3
         assert loaded.statistics().as_dict() == mono.statistics().as_dict()
