@@ -17,16 +17,28 @@ requirements can each be satisfied at a path without any single element
 satisfying both (the classical path-summary co-occurrence loss).  The
 bound is one-sided: every element a real match binds always sits at a
 surviving position, so completion never hides a valid candidate.
+
+Every step is linear in the guide paths it touches: a descendant step
+walks each path below the parent positions once
+(:func:`~repro.summary.dataguide.strictly_below`), and ancestor tests
+are set lookups along one parent chain, so deeply nested positions
+(``//NP//NP`` on a treebank) cost no more than flat ones.
 """
 
 from __future__ import annotations
 
-from repro.summary.dataguide import DataGuide, PathNode
+from collections.abc import Iterable
+
+from repro.resilience.deadline import Deadline, charged
+from repro.summary.dataguide import DataGuide, PathNode, strictly_below
 from repro.twig.pattern import Axis, QueryNode, TwigPattern
 
 
 def candidate_positions(
-    pattern: TwigPattern, guide: DataGuide, prune: bool = True
+    pattern: TwigPattern,
+    guide: DataGuide,
+    prune: bool = True,
+    deadline: Deadline | None = None,
 ) -> dict[int, set[PathNode]]:
     """Possible DataGuide positions for every query node of ``pattern``.
 
@@ -39,8 +51,16 @@ def candidate_positions(
     can be satisfied below it.  The rewrite engine uses this to locate the
     *highest broken node* — with full pruning, one impossible leaf empties
     every set in the pattern.
+
+    A ``deadline`` is charged the guide paths each step visits (site
+    ``autocomplete.positions``, see
+    :func:`~repro.resilience.deadline.charged`); expiry raises
+    :class:`~repro.resilience.errors.DeadlineExceeded`.
     """
     positions: dict[int, set[PathNode]] = {}
+
+    def visit(nodes: Iterable[PathNode]) -> Iterable[PathNode]:
+        return charged(nodes, deadline, "autocomplete.positions")
 
     def tag_ok(node: QueryNode, path_node: PathNode) -> bool:
         return node.tag is None or node.tag == path_node.tag
@@ -50,26 +70,23 @@ def candidate_positions(
     # ------------------------------------------------------------------
 
     def assign(node: QueryNode) -> None:
+        pool: Iterable[PathNode]
         if node.is_root:
             if node.axis is Axis.CHILD:
-                pool = list(guide.root_nodes)
+                pool = guide.root_nodes
             else:
                 pool = list(guide.iter_nodes())
-            positions[node.node_id] = {p for p in pool if tag_ok(node, p)}
         else:
             parent_positions = positions[node.parent.node_id]  # type: ignore[union-attr]
-            found: set[PathNode] = set()
-            for parent_position in parent_positions:
-                if node.axis is Axis.CHILD:
-                    candidates = parent_position.children.values()
-                else:
-                    candidates = (
-                        p
-                        for p in parent_position.iter_subtree()
-                        if p is not parent_position
-                    )
-                found.update(p for p in candidates if tag_ok(node, p))
-            positions[node.node_id] = found
+            if node.axis is Axis.CHILD:
+                pool = [
+                    child
+                    for parent_position in parent_positions
+                    for child in parent_position.children.values()
+                ]
+            else:
+                pool = strictly_below(parent_positions)
+        positions[node.node_id] = {p for p in visit(pool) if tag_ok(node, p)}
         for child in node.children:
             assign(child)
 
@@ -77,13 +94,13 @@ def candidate_positions(
     # Bottom-up pruning
     # ------------------------------------------------------------------
 
-    def supported(parent_position: PathNode, child: QueryNode) -> bool:
-        """Does any of the child's positions lie under ``parent_position``
-        along the child's axis?"""
-        child_positions = positions[child.node_id]
+    def supporters(child: QueryNode) -> set[PathNode]:
+        """The positions with at least one of the child's positions
+        under them along the child's axis."""
+        child_positions = visit(positions[child.node_id])
         if child.axis is Axis.CHILD:
-            return any(p.parent is parent_position for p in child_positions)
-        return any(_is_guide_ancestor(parent_position, p) for p in child_positions)
+            return {p.parent for p in child_positions}  # type: ignore[misc]
+        return _proper_ancestors(child_positions)
 
     def prune_up(node: QueryNode) -> bool:
         """Post-order prune; returns True if anything changed."""
@@ -91,10 +108,11 @@ def candidate_positions(
         for child in node.children:
             changed |= prune_up(child)
         if node.children:
+            required = [supporters(child) for child in node.children]
             kept = {
                 p
                 for p in positions[node.node_id]
-                if all(supported(p, child) for child in node.children)
+                if all(p in supported for supported in required)
             }
             if kept != positions[node.node_id]:
                 positions[node.node_id] = kept
@@ -109,14 +127,14 @@ def candidate_positions(
             if child.axis is Axis.CHILD:
                 allowed = {
                     p
-                    for p in positions[child.node_id]
+                    for p in visit(positions[child.node_id])
                     if p.parent in parent_positions
                 }
             else:
                 allowed = {
                     p
-                    for p in positions[child.node_id]
-                    if any(_is_guide_ancestor(a, p) for a in parent_positions)
+                    for p in visit(positions[child.node_id])
+                    if _below_any(p, parent_positions)
                 }
             if allowed != positions[child.node_id]:
                 positions[child.node_id] = allowed
@@ -133,10 +151,23 @@ def candidate_positions(
     return positions
 
 
-def _is_guide_ancestor(ancestor: PathNode, node: PathNode) -> bool:
+def _proper_ancestors(nodes: Iterable[PathNode]) -> set[PathNode]:
+    """Every path node strictly above one of ``nodes``."""
+    above: set[PathNode] = set()
+    for node in nodes:
+        current = node.parent
+        # A chain already recorded is recorded all the way up.
+        while current is not None and current not in above:
+            above.add(current)
+            current = current.parent
+    return above
+
+
+def _below_any(node: PathNode, ancestors: set[PathNode]) -> bool:
+    """Does some member of ``ancestors`` lie strictly above ``node``?"""
     current = node.parent
     while current is not None:
-        if current is ancestor:
+        if current in ancestors:
             return True
         current = current.parent
     return False

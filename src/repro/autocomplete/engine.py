@@ -18,6 +18,7 @@ comparison benchmark.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from collections import OrderedDict
 
@@ -25,27 +26,39 @@ from repro.autocomplete.candidates import Candidate, CandidateKind
 from repro.autocomplete.context import candidate_positions
 from repro.autocomplete.scoring import candidate_score
 from repro.index.completion_index import CompletionIndex
-from repro.resilience.deadline import Deadline
+from repro.resilience.deadline import Deadline, charged
 from repro.resilience.errors import DeadlineExceeded
-from repro.summary.dataguide import DataGuide, PathNode
-from repro.summary.paths import format_path
+from repro.summary.dataguide import DataGuide, PathNode, strictly_below
+from repro.summary.paths import PATH_SEPARATOR
 from repro.twig.pattern import Axis, QueryNode, TwigPattern
 
 #: How many example paths to attach to each candidate.
 _SAMPLE_PATHS = 3
 
 
+def _node_ids(pattern: TwigPattern | None) -> tuple[int, ...] | None:
+    """The pattern's node ids in preorder (part of every cache key)."""
+    if pattern is None:
+        return None
+    return tuple(node.node_id for node in pattern.nodes())
+
+
 class AutocompleteEngine:
     """Position-aware tag and value completion over one indexed corpus.
 
     Completions are LRU-cached by their full request identity (pattern
-    signature, anchor node, normalized prefix, axis, ``k`` …): a user
-    typing a prefix character-by-character re-asks highly overlapping
-    questions, and the corpus is immutable for the engine's lifetime.
-    The cache lives on the engine instance, and the engine lives on the
-    database instance, so a hot reload — which swaps in a whole new
-    database — drops it wholesale.  Truncated (deadline-tripped) results
-    are never cached.
+    signature, the pattern's preorder node ids, anchor node, normalized
+    prefix, axis, ``k`` …): a user typing a prefix character-by-character
+    re-asks highly overlapping questions, and the corpus is immutable for
+    the engine's lifetime.  The node ids belong in the key because the
+    anchor is named by id, and two structurally equal patterns can number
+    their nodes differently (a GUI session numbers them in the order the
+    user adds them).  The cache lives on the engine instance, and the
+    engine lives on the database instance, so a hot reload — which swaps
+    in a whole new database — drops it wholesale.  Every call reads the
+    cache; only answers whose deadline did not trip are written to it, so
+    a truncated answer is never cached and a cached answer is never
+    truncated.
     """
 
     #: Entries kept in the completion LRU cache.
@@ -57,6 +70,7 @@ class AutocompleteEngine:
         self._cache: OrderedDict = OrderedDict()
         self._cache_hits = 0
         self._cache_misses = 0
+        self._rendered_paths: list[str] | None = None
         #: Guards the LRU and its counters: completions are served from
         #: concurrent request threads and bare ``+=`` drops updates.
         self._cache_lock = threading.Lock()
@@ -117,52 +131,55 @@ class AutocompleteEngine:
 
         A ``deadline`` expiring mid-enumeration degrades gracefully: the
         candidates gathered so far are ranked and returned (the caller can
-        observe ``deadline.tripped`` to report truncation).  Deadline-
-        carrying calls bypass the completion cache entirely — their
-        results may be truncated, and their cooperative checkpoints must
-        stay live.
+        observe ``deadline.tripped`` to report truncation).  The guide
+        walks are charged to it by the number of paths they visit.  A
+        cached answer is returned without consulting the deadline; an
+        answer is cached only if the deadline did not trip.
         """
         normalized = prefix.strip().lower()
-        use_cache = deadline is None
-        if use_cache:
-            cache_key = (
-                "tag",
-                pattern.signature() if pattern is not None else None,
-                anchor.node_id if anchor is not None else None,
-                normalized,
-                axis,
-                k,
-            )
-            cached = self._cache_get(cache_key)
-            if cached is not None:
-                return cached
+        cache_key = (
+            "tag",
+            pattern.signature() if pattern is not None else None,
+            _node_ids(pattern),
+            anchor.node_id if anchor is not None else None,
+            normalized,
+            axis,
+            k,
+        )
+        cached = self._cache_get(cache_key)
+        if cached is not None:
+            return cached
         pool: dict[str, int] = {}
         anchor_positions: set[PathNode] | None = None
         try:
             if pattern is None or anchor is None:
-                for tag in self._guide.all_tags():
-                    if deadline is not None:
-                        deadline.check("autocomplete.tags")
-                    if tag.lower().startswith(normalized):
-                        pool[tag] = self._guide.tag_count(tag)
+                pool_counts = self._guide.tag_counts()
+                if deadline is not None:
+                    deadline.check("autocomplete.tags", cost=len(self._guide))
             else:
-                positions = candidate_positions(pattern, self._guide)
+                positions = candidate_positions(
+                    pattern, self._guide, deadline=deadline
+                )
                 anchor_positions = positions.get(anchor.node_id, set())
                 if axis is Axis.CHILD:
                     pool_counts = self._guide.child_tags_of(anchor_positions)
                 else:
-                    pool_counts = self._guide.descendant_tags_of(anchor_positions)
-                for tag, count in pool_counts.items():
-                    if deadline is not None:
-                        deadline.check("autocomplete.tags")
-                    if tag.lower().startswith(normalized):
-                        pool[tag] = count
+                    pool_counts = self._guide.descendant_tags_of(
+                        anchor_positions, deadline
+                    )
+            for tag, count in pool_counts.items():
+                if deadline is not None:
+                    deadline.check("autocomplete.tags")
+                if tag.lower().startswith(normalized):
+                    pool[tag] = count
         except DeadlineExceeded:
             # Rank whatever made it into the pool before the budget ran
             # out; ``deadline.tripped`` marks the truncation.
             pass
-        result = self._rank_tags(pool, normalized, k, anchor_positions, axis)
-        if use_cache:
+        result = self._rank_tags(
+            pool, normalized, k, anchor_positions, axis, deadline
+        )
+        if deadline is None or not deadline.tripped:
             self._cache_put(cache_key, list(result))
         return result
 
@@ -187,45 +204,86 @@ class AutocompleteEngine:
         k: int,
         anchor_positions: set[PathNode] | None = None,
         axis: Axis = Axis.CHILD,
+        deadline: Deadline | None = None,
     ) -> list[Candidate]:
-        candidates = []
-        for tag, count in pool.items():
-            samples = self._sample_paths_for_tag(tag, anchor_positions, axis)
-            candidates.append(
-                Candidate(
-                    text=tag,
-                    kind=CandidateKind.TAG,
-                    count=count,
-                    score=candidate_score(count, prefix, tag),
-                    sample_paths=samples,
-                )
+        # The ranking does not depend on the sample paths, so only the
+        # k winners have theirs collected.
+        ranked = sorted(
+            (
+                (candidate_score(count, prefix, tag), tag, count)
+                for tag, count in pool.items()
+            ),
+            key=lambda entry: (-entry[0], entry[1]),
+        )[:k]
+        samples = self._sample_paths(
+            [tag for _, tag, _ in ranked], anchor_positions, axis, deadline
+        )
+        return [
+            Candidate(
+                text=tag,
+                kind=CandidateKind.TAG,
+                count=count,
+                score=score,
+                sample_paths=samples[tag],
             )
-        candidates.sort(key=lambda c: (-c.score, c.text))
-        return candidates[:k]
+            for score, tag, count in ranked
+        ]
 
-    def _sample_paths_for_tag(
+    def _sample_paths(
         self,
-        tag: str,
+        tags: list[str],
         anchor_positions: set[PathNode] | None,
         axis: Axis,
-    ) -> tuple[str, ...]:
+        deadline: Deadline | None = None,
+    ) -> dict[str, tuple[str, ...]]:
+        """Up to :data:`_SAMPLE_PATHS` example paths per tag, sorted: the
+        guide paths with that tag at a position the candidate can take.
+
+        One walk serves every tag.  Samples only illustrate a candidate,
+        so when ``deadline`` expires mid-walk each tag keeps the paths
+        found so far.
+        """
+        if not tags:
+            return {}
+        found: dict[str, set[PathNode]] = {tag: set() for tag in tags}
         if anchor_positions is None:
-            nodes = self._guide.nodes_with_tag(tag)
+            nodes = list(self._guide.iter_nodes())
+        elif axis is Axis.CHILD:
+            nodes = [
+                child
+                for anchor_position in anchor_positions
+                for child in anchor_position.children.values()
+            ]
         else:
-            nodes = []
-            for anchor_position in anchor_positions:
-                if axis is Axis.CHILD:
-                    child = anchor_position.children.get(tag)
-                    if child is not None:
-                        nodes.append(child)
-                else:
-                    nodes.extend(
-                        node
-                        for node in anchor_position.iter_subtree()
-                        if node is not anchor_position and node.tag == tag
-                    )
-        paths = sorted({format_path(node.path) for node in nodes})
-        return tuple(paths[:_SAMPLE_PATHS])
+            nodes = strictly_below(anchor_positions)
+        try:
+            for node in charged(nodes, deadline, "autocomplete.samples"):
+                bucket = found.get(node.tag)
+                if bucket is not None:
+                    bucket.add(node)
+        except DeadlineExceeded:
+            pass
+        texts = self._path_texts()
+        return {
+            tag: tuple(
+                heapq.nsmallest(
+                    _SAMPLE_PATHS, (texts[node.node_id] for node in bucket)
+                )
+            )
+            for tag, bucket in found.items()
+        }
+
+    def _path_texts(self) -> list[str]:
+        """``format_path`` of every guide path, indexed by node id,
+        rendered once per guide (a parent's id is below its children's,
+        so each text extends its parent's)."""
+        texts = self._rendered_paths
+        if texts is None or len(texts) != len(self._guide) + 1:
+            texts = [""]
+            for node in self._guide.iter_nodes():
+                texts.append(texts[node.parent.node_id] + PATH_SEPARATOR + node.tag)
+            self._rendered_paths = texts
+        return texts
 
     # ------------------------------------------------------------------
     # Value completion
@@ -248,26 +306,25 @@ class AutocompleteEngine:
 
         A ``deadline`` expiring while positions are gathered degrades to
         completing over the positions collected so far
-        (``deadline.tripped`` marks the truncation).  As with tag
-        completion, deadline-carrying calls bypass the cache.
+        (``deadline.tripped`` marks the truncation).  The cache is read
+        and written as for tag completion.
         """
         normalized = prefix.strip().lower()
-        use_cache = deadline is None
-        if use_cache:
-            cache_key = (
-                "value",
-                pattern.signature(),
-                node.node_id,
-                normalized,
-                k,
-                whole_values,
-            )
-            cached = self._cache_get(cache_key)
-            if cached is not None:
-                return cached
+        cache_key = (
+            "value",
+            pattern.signature(),
+            _node_ids(pattern),
+            node.node_id,
+            normalized,
+            k,
+            whole_values,
+        )
+        cached = self._cache_get(cache_key)
+        if cached is not None:
+            return cached
         path_ids: list[int] = []
         try:
-            positions = candidate_positions(pattern, self._guide)
+            positions = candidate_positions(pattern, self._guide, deadline=deadline)
             node_positions = positions.get(node.node_id, set())
             for p in node_positions:
                 if deadline is not None:
@@ -291,7 +348,7 @@ class AutocompleteEngine:
             )
             for value, count in ranked
         ]
-        if use_cache:
+        if deadline is None or not deadline.tripped:
             self._cache_put(cache_key, list(result))
         return result
 

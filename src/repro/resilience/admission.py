@@ -87,6 +87,19 @@ class AdmissionGate:
             finally:
                 self._waiting -= 1
 
+    def try_acquire(self) -> bool:
+        """Take a slot only if one is free right now; never waits.
+
+        False when every slot is taken or requests are already queued
+        for one (a newcomer does not jump the queue).  A refusal is not
+        a shed — the caller is expected to fall back to :meth:`acquire`.
+        """
+        with self._cond:
+            if self._active < self.capacity and not self._waiting:
+                self._active += 1
+                return True
+            return False
+
     def release(self) -> None:
         """Give the slot back and wake one waiter."""
         with self._cond:

@@ -18,12 +18,19 @@ deterministically trip timeouts without real waiting.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Iterator, Sized
+from typing import TypeVar
 
 from repro.resilience import faults as _faults
 from repro.resilience.errors import DeadlineExceeded
 
 #: Steps between wall-clock consultations in :meth:`Deadline.check`.
 CLOCK_CHECK_INTERVAL = 64
+
+#: Items :func:`charged` lets through between two checks.
+CHARGE_EVERY = 512
+
+_T = TypeVar("_T")
 
 
 class Deadline:
@@ -157,3 +164,36 @@ class Deadline:
             limits.append(f"max_steps={self.max_steps}")
         state = "tripped" if self.tripped else f"steps={self.steps}"
         return f"Deadline({', '.join(limits) or 'unlimited'}, {state})"
+
+
+def charged(
+    items: Iterable[_T], deadline: Deadline | None, site: str
+) -> Iterable[_T]:
+    """``items``, with each one charged to ``deadline`` as one step.
+
+    The steps are charged in bulk — one :meth:`Deadline.check` per
+    :data:`CHARGE_EVERY` items and one for the remainder when the items
+    run out — so a walk over a summary pays a few checks however large
+    it is, yet cannot run far past an expired deadline.  A collection of
+    at most :data:`CHARGE_EVERY` items is charged up front in one check
+    and returned as is; so is ``items`` without a deadline.
+    """
+    if deadline is None:
+        return items
+    if isinstance(items, Sized) and len(items) <= CHARGE_EVERY:
+        if items:
+            deadline.check(site, cost=len(items))
+        return items
+    return _charging(items, deadline, site)
+
+
+def _charging(items: Iterable[_T], deadline: Deadline, site: str) -> Iterator[_T]:
+    count = 0
+    for item in items:
+        yield item
+        count += 1
+        if count == CHARGE_EVERY:
+            deadline.check(site, cost=count)
+            count = 0
+    if count:
+        deadline.check(site, cost=count)

@@ -252,7 +252,7 @@ class TagSubstitution(RewriteRule):
             else:
                 pool = self._guide.descendant_tags_of(parent_positions)
         else:
-            pool = {tag: self._guide.tag_count(tag) for tag in self._guide.all_tags()}
+            pool = self._guide.tag_counts()
         ranked = sorted(pool.items(), key=lambda item: (-item[1], item[0]))
         for tag, _count in ranked:
             if tag != node.tag and tag not in seen:

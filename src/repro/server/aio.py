@@ -7,6 +7,12 @@ thread pool behind the shared :class:`~repro.server.pipeline.RequestPipeline`
 response bytes are identical across transports).  What the loop adds
 over thread-per-request:
 
+* **Keystrokes on the loop** — ``/api/complete`` skips the thread
+  hand-off: it runs on the loop thread when an admission slot is free
+  right now, under a step budget of about 1 ms of work (see
+  :meth:`RequestPipeline.execute_inline`).  A keystroke without a free
+  slot, or over the budget, runs on the pool like every other request.
+
 * **Keep-alive** — a connection serves any number of requests; the
   per-request TCP + thread-spawn cost of the threaded server disappears
   from the hot path.
@@ -20,9 +26,10 @@ over thread-per-request:
   is answered 400 and closed without ever touching the engine; a body
   whose declared length exceeds the limit is answered 413 *without
   reading it*.
-* **Single-flight, loop-side** — a request whose flight is already open
-  subscribes with an ``asyncio`` future: followers consume no executor
-  thread and no admission slot while they wait for the leader's bytes.
+* **Single-flight, loop-side** — a search or keyword request whose
+  flight is already open subscribes with an ``asyncio`` future:
+  followers consume no executor thread and no admission slot while they
+  wait for the leader's bytes.  Keystrokes do not coalesce here.
 * **Keystroke batching** — when several ``/api/complete`` requests from
   one connection are buffered together (a fast typist ahead of the
   server), only the newest runs; older ones are answered immediately
@@ -386,6 +393,21 @@ class AsyncLotusXServer:
         if pipeline.is_static(request.method, request.path):
             # Static GUI shell: no engine work, answer on the loop.
             response = pipeline.execute(request.method, request.path, b"", 0)
+        elif self._is_keystroke(request):
+            # On the loop too, unless no slot is free or the keystroke
+            # overruns its step budget: then a worker runs it.  Nothing
+            # to coalesce — the loop reads no request until it is done.
+            response = pipeline.execute_inline(
+                request.path, request.body, request.declared_length
+            )
+            if response is None:
+                response = await self._run(
+                    pipeline.execute,
+                    request.method,
+                    request.path,
+                    request.body,
+                    request.declared_length,
+                )
         elif pipeline.wants_stream(request.method, request.path, request.body):
             return await self._respond_stream(writer, request, keep_alive)
         else:

@@ -18,9 +18,12 @@ soak suite asserts.
 
 **Single-flight coalescing.**  Concurrent *identical* requests to the
 read-only query endpoints (``/api/search``, ``/api/keyword``,
-``/api/complete``) share one engine evaluation.  The first request in
-becomes the flight's *leader* and runs the normal guarded path; requests
-arriving with the same key while the flight is open become *followers*
+``/api/complete``) share one engine evaluation — except keystrokes on the
+event loop (:meth:`RequestPipeline.execute_inline`), which finish before
+the loop reads another request and so never have a follower.  The first
+request in becomes the flight's *leader* and runs the normal guarded
+path; requests arriving with the same key while the flight is open
+become *followers*
 that subscribe to the leader's finished response — the very same
 serialized bytes, so all members of a flight are byte-identical by
 construction.  The key is ``(tenant, path, canonical payload JSON,
@@ -94,6 +97,12 @@ COALESCED_PATHS = frozenset(
 
 #: Tenant-scoped requests: ``/api/t/<tenant>/<endpoint>``.
 TENANT_PREFIX = "/api/t/"
+
+#: Deadline steps (guide paths visited, candidates pooled) a keystroke
+#: may spend on the event-loop thread before it is moved to the
+#: executor: about 1 ms of completion work, well under CPython's 5 ms
+#: thread switch interval.
+INLINE_STEP_BUDGET = 2_000
 
 
 def split_tenant(path: str) -> tuple[str | None, str]:
@@ -319,6 +328,11 @@ class RequestPipeline:
         self.superseded_keystrokes = 0
         #: Streamed (chunked ndjson) search responses served.
         self.streamed_responses = 0
+        #: Keystrokes answered on the event-loop thread.
+        self.inline_keystrokes = 0
+        #: Keystrokes that overran the inline step budget and re-ran on
+        #: the executor.
+        self.inline_spills = 0
         #: Optional transport hook: a zero-arg callable returning a
         #: connection-level stats dict, surfaced in ``/api/stats``.
         self.connection_stats = None
@@ -459,6 +473,50 @@ class RequestPipeline:
         event loop answers these inline rather than via the executor."""
         return method == "GET" and path in ("/", "/index.html")
 
+    def execute_inline(
+        self, path: str, body: bytes, declared_length: int | None = None
+    ) -> PipelineResponse | None:
+        """An ``/api/complete`` request on the calling (event-loop)
+        thread, or ``None`` when it must run through :meth:`execute` on
+        a worker thread instead.
+
+        Two guards keep the caller from blocking.  Admission takes a
+        slot only if one is free right now — the tenant's slice, then the
+        global gate — so a saturated server queues or sheds the request
+        on the executor exactly as before.  The work runs under the
+        request's own deadline plus :data:`INLINE_STEP_BUDGET` steps; if
+        the step budget trips, the partial answer is discarded (the
+        request re-runs on the executor under its normal deadline).  A
+        wall-clock expiry is answered here, truncated, just as the
+        executor would answer it.  Either way the request counts once.
+        """
+        try:
+            tenant, _, scoped = self.resolve(path)
+        except TenantError as exc:
+            return self.tenant_error_response(exc)
+        held = tenant.try_admission(self.gate)
+        if held is None:
+            return None
+        deadline = None
+
+        def run() -> dict:
+            nonlocal deadline
+            payload = self._read_json(body, declared_length)
+            deadline = self._deadline(payload, "/api/complete")
+            deadline.max_steps = INLINE_STEP_BUDGET
+            fault_point("server.request", deadline)
+            return api.handle_complete(tenant.holder.current, payload, deadline)
+
+        response = self._guarded(path, run, held, tenant, scoped)
+        if deadline is not None and deadline.steps > deadline.max_steps:
+            with self._counter_lock:
+                self.inline_spills += 1
+            return None
+        tenant.count_request()
+        with self._counter_lock:
+            self.inline_keystrokes += 1
+        return response
+
     # ------------------------------------------------------------------
 
     def _execute_get(
@@ -524,11 +582,7 @@ class RequestPipeline:
 
         def run() -> dict:
             payload = self._read_json(body, declared_length)
-            deadline = api.resolve_deadline(
-                payload,
-                default_ms=self.config.timeout_for(base),
-                max_ms=self.config.max_timeout_ms,
-            )
+            deadline = self._deadline(payload, base)
             fault_point("server.request", deadline)
             current = tenant.holder.current
             if handler is api.handle_explain:
@@ -670,11 +724,7 @@ class RequestPipeline:
             with tenant.admission(self.gate):
                 try:
                     payload = self._read_json(body, declared_length)
-                    deadline = api.resolve_deadline(
-                        payload,
-                        default_ms=self.config.timeout_for("/api/search"),
-                        max_ms=self.config.max_timeout_ms,
-                    )
+                    deadline = self._deadline(payload, "/api/search")
                     fault_point("server.request", deadline)
                     current = tenant.holder.current
                     first = self._first_answers(current, payload)
@@ -767,6 +817,8 @@ class RequestPipeline:
         with self._counter_lock:
             block["superseded_keystrokes"] = self.superseded_keystrokes
             block["streamed_responses"] = self.streamed_responses
+            block["inline_keystrokes"] = self.inline_keystrokes
+            block["inline_spills"] = self.inline_spills
         return block
 
     # ------------------------------------------------------------------
@@ -788,13 +840,25 @@ class RequestPipeline:
         in its body (whenever the request was tenant-scoped or the
         tenant actually has a slice), so shed traffic is attributable.
         """
+        if tenant is None:
+            admission = self.gate.slot()
+        else:
+            admission = tenant.admission(self.gate)
+        return self._guarded(path, produce, admission, tenant, scoped)
+
+    def _guarded(
+        self,
+        path: str,
+        produce,
+        admission,
+        tenant: Tenant | None,
+        scoped: bool,
+    ) -> PipelineResponse:
+        """Run ``produce`` inside the ``admission`` context manager and
+        serialize the outcome (see :meth:`_run_guarded`)."""
         headers: dict[str, str] = {}
         try:
-            if tenant is None:
-                gate_ctx = self.gate.slot()
-            else:
-                gate_ctx = tenant.admission(self.gate)
-            with gate_ctx:
+            with admission:
                 status, payload = 200, produce()
         except Overloaded as exc:
             headers["Retry-After"] = str(max(1, math.ceil(exc.retry_after)))
@@ -813,6 +877,15 @@ class RequestPipeline:
             status = 500
             payload = {"error": "internal error", "code": "internal"}
         return self._json(status, payload, headers)
+
+    def _deadline(self, payload: dict, base: str):
+        """The request's deadline: its ``timeout_ms`` or the endpoint's
+        default, capped by the config."""
+        return api.resolve_deadline(
+            payload,
+            default_ms=self.config.timeout_for(base),
+            max_ms=self.config.max_timeout_ms,
+        )
 
     def _read_json(
         self, body: bytes | None, declared_length: int | None

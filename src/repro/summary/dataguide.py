@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+from repro.resilience.deadline import Deadline, charged
 from repro.summary.paths import Path, format_path
 from repro.xmlio.tree import Document, Element
 
@@ -170,6 +171,13 @@ class DataGuide:
         """Total number of elements with ``tag`` across all paths."""
         return sum(node.count for node in self.iter_nodes() if node.tag == tag)
 
+    def tag_counts(self) -> dict[str, int]:
+        """:meth:`tag_count` for every tag, in one pass over the guide."""
+        counts: dict[str, int] = {}
+        for node in self.iter_nodes():
+            counts[node.tag] = counts.get(node.tag, 0) + node.count
+        return counts
+
     def nodes_with_tag(self, tag: str) -> list[PathNode]:
         """All path nodes whose final step is ``tag``."""
         return [node for node in self.iter_nodes() if node.tag == tag]
@@ -186,15 +194,65 @@ class DataGuide:
                 tags[tag] = tags.get(tag, 0) + child.count
         return tags
 
-    def descendant_tags_of(self, contexts: Iterable[PathNode]) -> dict[str, int]:
-        """Tags occurring anywhere *below* any context node, with counts."""
+    def descendant_tags_of(
+        self, contexts: Iterable[PathNode], deadline: Deadline | None = None
+    ) -> dict[str, int]:
+        """Tags occurring anywhere *below* any of the (distinct) context
+        nodes, with counts.
+
+        A path below several nested contexts counts once per context
+        above it, as if each context's subtree were walked on its own;
+        one walk below the :func:`_outermost` contexts computes that,
+        visiting every path once.  The paths visited are charged to
+        ``deadline`` (see :func:`~repro.resilience.deadline.charged`).
+        """
         tags: dict[str, int] = {}
-        for context in contexts:
-            for node in context.iter_subtree():
-                if node is context:
-                    continue
-                tags[node.tag] = tags.get(node.tag, 0) + node.count
+        below = charged(_nested_below(set(contexts)), deadline, "summary.descendants")
+        for node, above in below:
+            tags[node.tag] = tags.get(node.tag, 0) + node.count * above
         return tags
 
     def __repr__(self) -> str:
         return f"DataGuide(paths={len(self)})"
+
+
+def _nested_below(members: set[PathNode]) -> Iterator[tuple[PathNode, int]]:
+    """Every path strictly below a member, once, with how many members
+    lie above it."""
+    stack = [
+        (child, 1) for top in _outermost(members) for child in top.children.values()
+    ]
+    while stack:
+        node, above = stack.pop()
+        yield node, above
+        if node in members:
+            above += 1
+        stack.extend((child, above) for child in node.children.values())
+
+
+def strictly_below(nodes: Iterable[PathNode]) -> Iterator[PathNode]:
+    """Every path strictly below a member of ``nodes``, once: the strict
+    subtrees of the :func:`_outermost` members, in preorder."""
+    for top in _outermost(nodes):
+        subtree = top.iter_subtree()
+        next(subtree)  # ``top`` itself
+        yield from subtree
+
+
+def _outermost(nodes: Iterable[PathNode]) -> list[PathNode]:
+    """The members of ``nodes`` with no proper ancestor among them, in
+    ``node_id`` order.
+
+    Their subtrees are disjoint and contain every other member, so one
+    walk below them reaches each path that a walk below any member would.
+    """
+    members = set(nodes)
+    tops = []
+    for node in members:
+        parent = node.parent
+        while parent is not None and parent not in members:
+            parent = parent.parent
+        if parent is None:
+            tops.append(node)
+    tops.sort(key=lambda node: node.node_id)
+    return tops

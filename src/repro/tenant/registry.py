@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 import threading
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 from repro.resilience.admission import AdmissionGate
 from repro.server.reload import DatabaseHolder, ReloadSource
@@ -157,6 +157,20 @@ class Tenant:
         with gate.slot():
             with global_gate.slot():
                 yield
+
+    def try_admission(self, global_gate: AdmissionGate) -> ExitStack | None:
+        """:meth:`admission` without waiting: the slots taken, released
+        when the returned stack closes, or ``None`` (nothing held) when
+        the slice or the global gate has no free slot right now."""
+        held = ExitStack()
+        for gate in (self.slice_gate, global_gate):
+            if gate is None:
+                continue
+            if not gate.try_acquire():
+                held.close()
+                return None
+            held.callback(gate.release)
+        return held
 
     def stats_block(self) -> dict:
         """The per-tenant entry of the ``tenants`` stats block."""

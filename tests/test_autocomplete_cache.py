@@ -1,12 +1,14 @@
 """The autocomplete completion cache: LRU hit/miss behavior, request
-identity in the key, deadline bypass, and wholesale drop on hot reload."""
+identity (node ids included) in the key, deadline-carrying calls
+reading it while only untruncated answers are written, and wholesale
+drop on hot reload."""
 
 from __future__ import annotations
 
 from repro.engine.database import LotusXDatabase
 from repro.resilience.deadline import Deadline
 from repro.server.reload import DatabaseHolder, ReloadSource
-from repro.twig.pattern import Axis
+from repro.twig.pattern import Axis, TwigPattern
 
 from tests.conftest import SMALL_XML
 
@@ -62,17 +64,27 @@ def test_value_completions_cached_too():
     assert info["hits"] == 1 and info["misses"] == 1
 
 
-def test_deadline_requests_bypass_cache():
+def test_deadline_requests_read_and_write_the_cache():
     db = _fresh_db()
     engine = db.autocomplete
-    expected = db.complete_tag(prefix="a")
-    baseline = engine.cache_info()
-    # A generous deadline changes nothing about the answer, but the
-    # result must not be cached (it could have been truncated) and a
-    # cached answer must not short-circuit the cooperative checkpoints.
-    got = db.complete_tag(prefix="a", deadline=Deadline.after_ms(60_000))
-    assert got == expected
-    assert engine.cache_info() == baseline
+    # A deadline that does not trip caches its answer like any call…
+    deadline = Deadline.after_ms(60_000)
+    first = db.complete_tag(prefix="a", deadline=deadline)
+    assert not deadline.tripped
+    assert engine.cache_info()["entries"] == 1
+    assert db.complete_tag(prefix="a") == first
+    # …and a served (deadline-carrying) call reads it: the hit costs no
+    # deadline step and is never reported truncated.
+    deadline = Deadline(max_steps=0)
+    assert db.complete_tag(prefix="a", deadline=deadline) == first
+    assert deadline.steps == 0 and not deadline.tripped
+    pattern = db.parse_query("//article/author")
+    node = pattern.nodes()[-1]
+    values = db.complete_value(pattern, node, "j", deadline=Deadline.after_ms(60_000))
+    deadline = Deadline(max_steps=0)
+    assert db.complete_value(pattern, node, "j", deadline=deadline) == values
+    assert not deadline.tripped
+    assert engine.cache_info()["hits"] == 3
 
 
 def test_truncated_results_never_cached():
@@ -84,6 +96,37 @@ def test_truncated_results_never_cached():
     assert engine.cache_info()["entries"] == 0
     # The full answer is computed fresh, not served from the truncated run.
     assert len(db.complete_tag(prefix="")) >= len(truncated)
+    pattern = db.parse_query("//article/author")
+    node = pattern.nodes()[-1]
+    deadline = Deadline(max_steps=1)
+    db.complete_value(pattern, node, "j", deadline=deadline)
+    assert deadline.tripped
+    assert engine.cache_info()["entries"] == 1  # only the full tag answer
+
+
+def test_cache_key_includes_node_ids():
+    """Equal patterns numbered differently must not share answers: the
+    anchor is named by node id, and a GUI session numbers nodes in the
+    order the user adds them."""
+    numbered = TwigPattern("a")
+    b = numbered.add_child(numbered.root, "b")  # b = 1
+    numbered.add_child(numbered.root, "c")  # c = 2
+    renumbered = TwigPattern("a")
+    c = renumbered.add_child(renumbered.root, "c")  # c = 1
+    renumbered.add_child(renumbered.root, "b")  # b = 2
+    renumbered.root.children.reverse()  # the same shape: a[b][c]
+    assert numbered.signature() == renumbered.signature()
+    assert b.node_id == c.node_id
+
+    def texts(candidates) -> list[str]:
+        return [candidate.text for candidate in candidates]
+
+    tags = LotusXDatabase.from_string("<a><b><x/></b><c><y/></c></a>")
+    assert texts(tags.complete_tag(numbered, b)) == ["x"]
+    assert texts(tags.complete_tag(renumbered, c)) == ["y"]
+    values = LotusXDatabase.from_string("<a><b>bee</b><c>sea</c></a>")
+    assert texts(values.complete_value(numbered, b, "")) == ["bee"]
+    assert texts(values.complete_value(renumbered, c, "")) == ["sea"]
 
 
 def test_lru_eviction_at_capacity():

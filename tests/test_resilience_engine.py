@@ -2,13 +2,24 @@
 
 import pytest
 
+from repro.datasets import generate_treebank
+from repro.engine.database import LotusXDatabase
 from repro.keyword.elca import find_elcas
 from repro.keyword.slca import find_slcas
 from repro.resilience import faults
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import DeadlineExceeded
+from repro.server.api import handle_complete
 from repro.twig.match import sort_matches
 from repro.twig.planner import Algorithm
+
+from tests.conftest import SMALL_XML
+
+
+@pytest.fixture(scope="module")
+def treebank_db():
+    """Deep recursive NP nesting: a guide of about a thousand paths."""
+    return LotusXDatabase(generate_treebank(sentences=120, seed=7, max_depth=14))
 
 
 class FakeClock:
@@ -168,6 +179,13 @@ class TestKeyword:
 
 
 class TestAutocomplete:
+    @pytest.fixture()
+    def small_db(self):
+        """A fresh database per test: a cached completion is answered
+        without reaching any checkpoint, so the faults below must meet
+        an empty completion cache."""
+        return LotusXDatabase.from_string(SMALL_XML)
+
     def test_tag_completion_degrades_to_partial_pool(self, small_db):
         deadline = Deadline.none()
         with faults.injected("autocomplete.tags", exhaust_deadline=True):
@@ -197,6 +215,33 @@ class TestAutocomplete:
             )
         assert deadline.tripped
         assert candidates == []  # no positions survived the trip
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "tag", "query": "//NP", "node": 0, "axis": "//"},
+            {"kind": "tag", "query": "//NP//NP", "node": 1, "axis": "//"},
+            {"kind": "tag", "query": "//S", "node": 0, "axis": "/"},
+            {"kind": "tag"},
+            {"kind": "value", "query": "//NP//NN", "node": 1, "prefix": "t"},
+        ],
+    )
+    def test_guide_walks_are_charged_to_the_deadline(self, treebank_db, payload):
+        """Every guide walk of a completion is charged by the paths it
+        visits, so a step budget bounds a treebank keystroke instead of
+        being checked a handful of times after the work is done."""
+        treebank_db.autocomplete.clear_cache()
+        full = Deadline.none()
+        assert handle_complete(treebank_db, payload, full)["truncated"] is False
+        guide_size = len(treebank_db.guide)
+        assert full.steps > guide_size  # walks, not just candidates
+        treebank_db.autocomplete.clear_cache()
+        budget = full.steps // 10
+        bounded = Deadline(max_steps=budget)
+        assert handle_complete(treebank_db, payload, bounded)["truncated"] is True
+        # One check per walk: the tripping walk, then at most the first
+        # walk of the sample-path collection, overshoot the budget.
+        assert bounded.steps <= budget + 2 * guide_size
 
     def test_completion_unaffected_without_faults(self, small_db):
         deadline = Deadline.none()
